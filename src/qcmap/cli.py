@@ -63,6 +63,8 @@ def _open_output(path: str | None):
 
 
 def _cmd_solve(args) -> int:
+    if args.method != "eoc" and not args.graph:
+        raise ValueError(f"{args.method} requires --graph")
     graph = _parse_graph(args.graph) if args.graph else None
     if args.method == "tat-lrelu":
         if args.eta is None:

@@ -261,8 +261,15 @@ def lrelu_c_map(alpha: float, c):
     C(c) = c + (1-a)^2 / (pi (1+a^2)) * (sqrt(1-c^2) - c * arccos(c)).
     Exact at the fixed point c = 1.  Accepts arrays.
     """
-    c = _clamp_unit(c, "lrelu_c_map")
     coef = (1.0 - alpha) ** 2 / (math.pi * (1.0 + alpha * alpha))
+    if type(c) is float:
+        # scalar path for the solvers' bisections; same domain rules as
+        # _clamp_unit, NaN passes through
+        if abs(c) > 1.0 + 1e-12:
+            raise DomainError(f"lrelu_c_map: |c| must be <= 1, got {c}")
+        c = min(max(c, -1.0), 1.0)
+        return float(c + coef * (math.sqrt(1.0 - c * c) - c * math.acos(c)))
+    c = _clamp_unit(c, "lrelu_c_map")
     out = c + coef * (np.sqrt(1.0 - c * c) - c * np.arccos(c))
     return out if out.ndim else float(out)
 

@@ -5,6 +5,10 @@ generalized global map ``eval_U`` substitutes an arbitrary non-decreasing
 scalar function for the local C map at every nonlinear node, and ``eval_M``
 maximizes it over the candidate subnetworks returned by
 ``enumerate_maximal_subnetworks``.
+
+Each graph is lowered once, on first use, into flat programs (one for the
+whole graph, one per candidate subnetwork) cached on the graph object; a
+single interpreter, ``_run``, evaluates all of them.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -92,6 +97,17 @@ class NetworkGraph:
         return succ
 
     def topo_order(self) -> list[int]:
+        return list(self._order)
+
+    def nonlinear_count(self) -> int:
+        return sum(1 for n in self.nodes if n.kind == NONLINEAR)
+
+    # Lazily built, cached in the instance __dict__: no dataclass field, so
+    # == and hash are unchanged.  A property that raises caches nothing, so
+    # an invalid graph raises on every call.
+
+    @cached_property
+    def _order(self) -> tuple[int, ...]:
         indeg = [len(ps) for ps in self.preds]
         succ = self.successors()
         ready = [i for i, d in enumerate(indeg) if d == 0]
@@ -105,10 +121,15 @@ class NetworkGraph:
                     ready.append(s)
         if len(order) != len(self.nodes):
             raise GraphValidationError("graph contains a cycle")
-        return order
+        return tuple(order)
 
-    def nonlinear_count(self) -> int:
-        return sum(1 for n in self.nodes if n.kind == NONLINEAR)
+    @cached_property
+    def _whole_plan(self) -> _Plan:
+        return _lower(self, _whole_graph_ref(self))
+
+    @cached_property
+    def _candidate_plans(self) -> tuple[_Plan, ...]:
+        return tuple(_lower(self, ref) for ref in enumerate_maximal_subnetworks(self))
 
 
 def validate_graph(g: NetworkGraph) -> None:
@@ -290,7 +311,7 @@ def _subnetwork_shape_key(g: NetworkGraph, ref: SubnetworkRef):
     predecessor lists (sum weights included, rounded).
     """
     members = ref.members
-    order = [n for n in g.topo_order() if n in members]
+    order = [n for n in g._order if n in members]
     local = {nid: i for i, nid in enumerate(order)}
     key = []
     for nid in order:
@@ -418,36 +439,73 @@ def enumerate_maximal_subnetworks(g: NetworkGraph) -> list[SubnetworkRef]:
 # ---------------------------------------------------------------------------
 # generalized map evaluation
 
-
-def _apply_entry(kind: str, r, x):
-    if kind == NONLINEAR:
-        return r(x)
-    # input and affine entries pass the value through; sum entries are
-    # excluded by the enumeration rules
-    return x
+_NL = 0   # opcode: r applied to one slot
+_SUM = 1  # opcode: square-weighted sum of several slots
 
 
-def eval_U_subnetwork(g: NetworkGraph, ref: SubnetworkRef, r, x):
-    """Evaluate the generalized map of one subnetwork at x."""
-    members = ref.members
-    values = {}
-    for nid in g.topo_order():
-        if nid not in members:
+@dataclass(frozen=True)
+class _Plan:
+    """One subnetwork lowered to straight-line code.
+
+    Slot 0 holds the argument x; op i writes slot i + 1.  Each op is
+    (_NL, src_slot, None) or (_SUM, src_slots, squared_weights).  Affine
+    nodes (and an input or affine entry) emit no op: they alias the slot
+    they pass through.
+    """
+
+    ops: tuple
+    exit: int
+
+
+def _lower(g: NetworkGraph, ref: SubnetworkRef) -> _Plan:
+    slot: dict[int, int] = {}
+    ops = []
+    for nid in g._order:
+        if nid not in ref.members:
             continue
-        node = g.node(nid)
+        node = g.nodes[nid]
         if nid == ref.entry:
-            values[nid] = _apply_entry(node.kind, r, x)
-        elif node.kind == AFFINE:
-            values[nid] = values[g.preds[nid][0]]
-        elif node.kind == NONLINEAR:
-            values[nid] = r(values[g.preds[nid][0]])
+            # sum entries are excluded by the enumeration rules
+            src = 0
+        elif node.kind in (AFFINE, NONLINEAR):
+            src = slot[g.preds[nid][0]]
         elif node.kind == SUM:
-            values[nid] = sum(
-                w * w * values[p] for w, p in zip(node.weights, g.preds[nid])
-            )
+            srcs = tuple(slot[p] for p in g.preds[nid])
+            ops.append((_SUM, srcs, tuple(w * w for w in node.weights)))
+            slot[nid] = len(ops)
+            continue
         else:  # pragma: no cover - input can only be the entry
-            values[nid] = x
-    return values[ref.exit]
+            src = 0
+        if node.kind == NONLINEAR:
+            ops.append((_NL, src, None))
+            src = len(ops)
+        slot[nid] = src
+    return _Plan(tuple(ops), slot[ref.exit])
+
+
+def _run(plan: _Plan, r, x, r_prime=None):
+    """Evaluate a plan at x; with r_prime, also carry dU/dx forward.
+
+    Sums add (w*w) * v in predecessor order starting from 0, the order of
+    the definition, so results are reproducible bit for bit.
+    """
+    vals = [x]
+    if r_prime is None:
+        for op, src, w2 in plan.ops:
+            if op == _NL:
+                vals.append(r(vals[src]))
+            else:
+                vals.append(sum(w * vals[s] for w, s in zip(w2, src)))
+        return vals[plan.exit]
+    grads = [np.ones_like(np.asarray(x, dtype=float))]
+    for op, src, w2 in plan.ops:
+        if op == _NL:
+            vals.append(r(vals[src]))
+            grads.append(r_prime(vals[src]) * grads[src])
+        else:
+            vals.append(sum(w * vals[s] for w, s in zip(w2, src)))
+            grads.append(sum(w * grads[s] for w, s in zip(w2, src)))
+    return vals[plan.exit], grads[plan.exit]
 
 
 def eval_U(g: NetworkGraph, r, x):
@@ -457,37 +515,17 @@ def eval_U(g: NetworkGraph, r, x):
     normalized sums to the square-weighted sum of their inputs.  With r equal
     to the local C map this evaluates the network's global C map at x.
     """
-    return eval_U_subnetwork(g, _whole_graph_ref(g), r, x)
+    return _run(g._whole_plan, r, x)
 
 
 def eval_U_with_derivative(g: NetworkGraph, r, r_prime, x):
     """Forward-mode evaluation of (U(x), dU/dx) over the whole graph."""
-    values, grads = {}, {}
-    for nid in g.topo_order():
-        node = g.node(nid)
-        if node.kind == INPUT:
-            values[nid], grads[nid] = x, np.ones_like(np.asarray(x, dtype=float))
-        elif node.kind == AFFINE:
-            p = g.preds[nid][0]
-            values[nid], grads[nid] = values[p], grads[p]
-        elif node.kind == NONLINEAR:
-            p = g.preds[nid][0]
-            values[nid] = r(values[p])
-            grads[nid] = r_prime(values[p]) * grads[p]
-        else:
-            values[nid] = sum(
-                w * w * values[p] for w, p in zip(node.weights, g.preds[nid])
-            )
-            grads[nid] = sum(
-                w * w * grads[p] for w, p in zip(node.weights, g.preds[nid])
-            )
-    return values[g.output], grads[g.output]
+    return _run(g._whole_plan, r, x, r_prime)
 
 
 def eval_M(g: NetworkGraph, r, x):
     """Maximum of the generalized map over the candidate subnetworks."""
-    candidates = enumerate_maximal_subnetworks(g)
-    return max(eval_U_subnetwork(g, ref, r, x) for ref in candidates)
+    return max(_run(plan, r, x) for plan in g._candidate_plans)
 
 
 # ---------------------------------------------------------------------------
@@ -496,12 +534,21 @@ def eval_M(g: NetworkGraph, r, x):
 
 def graph_from_dict(data: dict) -> NetworkGraph:
     """Build a graph from {nodes: [{id, kind, weights?}], edges, output}."""
+    if not isinstance(data, dict):
+        raise GraphValidationError(
+            f"graph description must be an object, got {type(data).__name__}"
+        )
     try:
         raw_nodes = data["nodes"]
         edges = data["edges"]
         output = int(data["output"])
     except KeyError as e:
         raise GraphValidationError(f"graph description missing field {e}") from e
+    if not (isinstance(raw_nodes, (list, tuple)) and isinstance(edges, (list, tuple))):
+        raise GraphValidationError("graph description needs lists of nodes and edges")
+    for i, n in enumerate(raw_nodes):
+        if not (isinstance(n, dict) and "id" in n and "kind" in n):
+            raise GraphValidationError(f"nodes[{i}] needs an 'id' and a 'kind'")
     ids = [int(n["id"]) for n in raw_nodes]
     if sorted(ids) != list(range(len(ids))):
         raise GraphValidationError("node ids must be 0..n-1")
@@ -510,8 +557,13 @@ def graph_from_dict(data: dict) -> NetworkGraph:
         weights = tuple(float(w) for w in n["weights"]) if "weights" in n else None
         nodes[int(n["id"])] = Node(int(n["id"]), str(n["kind"]), weights)
     preds: list[list[int]] = [[] for _ in nodes]
-    for frm, to in edges:
-        preds[int(to)].append(int(frm))
+    for edge in edges:
+        if not (isinstance(edge, (list, tuple)) and len(edge) == 2):
+            raise GraphValidationError(f"edge {edge!r} is not a [from, to] pair")
+        frm, to = int(edge[0]), int(edge[1])
+        if not (0 <= frm < len(nodes) and 0 <= to < len(nodes)):
+            raise GraphValidationError(f"edge {edge!r} names a node outside 0..{len(nodes) - 1}")
+        preds[to].append(frm)
     g = NetworkGraph(tuple(nodes), tuple(tuple(p) for p in preds), output)
     validate_graph(g)
     return g

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError
 from .kernel_maps import lrelu_c_map
-from .netgraph import build_vanilla
+from .netgraph import build_vanilla, eval_U
 from .solvers import bisect, solve_tat_lrelu
 
 __all__ = [
@@ -169,9 +169,7 @@ def verify_convergence(
     for depth in depths:
         g = build_vanilla(depth)
         alpha = solve_tat_lrelu(g, eta).alpha
-        c = c_grid.copy()
-        for _ in range(depth):
-            c = lrelu_c_map(alpha, c)
+        c = eval_U(g, lambda x: lrelu_c_map(alpha, x), c_grid)
         out.append(
             DepthDeviation(
                 depth=depth,

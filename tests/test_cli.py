@@ -67,6 +67,18 @@ class TestSolveCommand:
         envelope = json.loads(err)
         assert set(envelope) == {"error", "message", "context"}
 
+    @pytest.mark.parametrize("method, flags", [
+        ("tat-lrelu", ["--eta", "0.5"]),
+        ("tat-smooth", ["--tau", "0.3"]),
+        ("dks", ["--zeta", "1.5"]),
+    ])
+    def test_graph_methods_require_graph(self, capsys, method, flags):
+        code, out, err = invoke(["solve", "--method", method, *flags], capsys)
+        assert code == 1 and out == ""
+        envelope = json.loads(err)
+        assert envelope["error"] == "ValueError"
+        assert envelope["message"] == f"{method} requires --graph"
+
     def test_unattainable_envelope(self, capsys):
         code, out, err = invoke(
             ["solve", "--method", "tat-lrelu", "--graph", "vanilla:1", "--eta", "0.5"],
@@ -207,6 +219,24 @@ class TestValidateGraphCommand:
         path.write_text(json.dumps(doc))
         code, out, _ = invoke(["validate-graph", "--graph", f"file:{path}"], capsys)
         assert code == 0
+
+    @pytest.mark.parametrize("doc", [
+        [{"id": 0, "kind": "input"}],
+        {"nodes": [{"id": 0, "kind": "input"}, {"id": 1}], "edges": [[0, 1]], "output": 1},
+        {"nodes": [{"id": 0, "kind": "input"}, {"id": 1, "kind": "affine"}],
+         "edges": [[0, 1], [1, 7]], "output": 1},
+        {"nodes": [{"id": 0, "kind": "input"}, {"id": 1, "kind": "affine"}],
+         "edges": [[0, 1, 1]], "output": 1},
+    ], ids=["top-level-list", "node-without-kind", "edge-to-missing-node", "edge-not-a-pair"])
+    def test_malformed_file_graph_gives_envelope(self, capsys, tmp_path, doc):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(
+            ["solve", "--method", "tat-lrelu", "--eta", "0.5", "--graph", f"file:{path}"],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "GraphValidationError"
 
     def test_missing_file_fails(self, capsys):
         code, _, err = invoke(

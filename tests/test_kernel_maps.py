@@ -90,6 +90,24 @@ class TestLreluClosedForm:
         with pytest.raises(DomainError):
             lrelu_c_map(0.3, 1.1)
 
+    def test_scalar_and_array_paths_agree(self):
+        grid = np.concatenate([np.linspace(-1, 1, 4001), [-1.0, 0.0, 1.0, 1.0 + 1e-13]])
+        for alpha in (0.0, 0.05, 0.3, 0.77, 1.0, np.float64(0.4)):
+            arr = lrelu_c_map(alpha, grid)
+            for c, want in zip(grid, arr):
+                got = lrelu_c_map(alpha, float(c))
+                assert type(got) is float
+                assert abs(got - want) <= 4e-16
+
+    def test_scalar_and_array_paths_share_the_domain(self):
+        for c in (1.0 + 1e-9, -1.0 - 1e-9, math.inf):
+            with pytest.raises(DomainError):
+                lrelu_c_map(0.2, c)
+            with pytest.raises(DomainError):
+                lrelu_c_map(0.2, np.array([0.0, c]))
+        assert math.isnan(lrelu_c_map(0.2, math.nan))
+        assert np.isnan(lrelu_c_map(0.2, np.array([math.nan]))).all()
+
     def test_monte_carlo_oracle_light(self):
         # scaled-down version of the acceptance check
         rng = np.random.default_rng(3)

@@ -18,8 +18,10 @@ from qcmap import (
     eval_U,
     eval_U_with_derivative,
     lrelu_c_map,
+    lrelu_c_map_derivative,
     validate_graph,
 )
+from qcmap import netgraph
 from qcmap.netgraph import AFFINE, INPUT, NONLINEAR, SUM, graph_from_dict
 
 
@@ -321,6 +323,20 @@ class TestEvalU:
             assert val == pytest.approx(eval_U(g, r, x), abs=1e-14)
             assert grad == pytest.approx(fd, abs=1e-6)
 
+    def test_derivative_channel_values_equal_eval_u(self):
+        alpha = 0.45
+        r = lambda c: lrelu_c_map(alpha, c)
+        rp = lambda c: lrelu_c_map_derivative(alpha, c)
+        grid = np.linspace(-1, 1, 41)
+        for g in (
+            build_vanilla(30),
+            build_rescaled_resnet(6, 0.7, branch_nonlinear_count=2, with_transitions=True),
+        ):
+            val, _ = eval_U_with_derivative(g, r, rp, grid)
+            assert np.array_equal(val, eval_U(g, r, grid))
+            for x in (-1.0, -0.3, 0.0, 0.8, 1.0):
+                assert eval_U_with_derivative(g, r, rp, x)[0] == eval_U(g, r, x)
+
 
 class TestEvalM:
     def test_vanilla_m_equals_u(self):
@@ -364,6 +380,22 @@ class TestEvalM:
             g = random_small_graph(rng)
             assert eval_M(g, r, 0.0) == oracle_max(g, r, 0.0)
 
+    def test_family_stripped_resnet_gives_same_m(self):
+        # builder metadata only shortcuts the candidate search: the
+        # exhaustive search on the bare graph must reach the same maximum
+        rules = [lambda c, a=a: lrelu_c_map(a, c) for a in (0.0, 0.2, 0.6)]
+        rules += [lambda x: 0.3 + x, lambda x: 1.07 * x]
+        for g in (
+            build_rescaled_resnet(2, 0.6, branch_nonlinear_count=2),
+            build_rescaled_resnet(3, 0.3, branch_nonlinear_count=1),
+            build_rescaled_resnet(5, 0.9, branch_nonlinear_count=1),
+        ):
+            assert g.num_nodes <= netgraph.EXHAUSTIVE_NODE_LIMIT
+            bare = NetworkGraph(g.nodes, g.preds, g.output)
+            for r in rules:
+                for x in (0.0, 0.5, 1.0):
+                    assert eval_M(bare, r, x) == eval_M(g, r, x)
+
     def test_mu0_strictly_decreasing_in_alpha(self):
         g = build_vanilla(12)
         alphas = np.linspace(0.0, 0.95, 20)
@@ -390,3 +422,88 @@ class TestJsonGraphs:
     def test_missing_field_rejected(self):
         with pytest.raises(GraphValidationError):
             graph_from_dict({"nodes": [], "edges": []})
+
+    CHAIN = [{"id": 0, "kind": "input"}, {"id": 1, "kind": "affine"},
+             {"id": 2, "kind": "nonlinear"}]
+
+    def test_top_level_not_an_object_rejected(self):
+        for data in ([{"id": 0, "kind": "input"}], "graph", 3, None):
+            with pytest.raises(GraphValidationError, match="must be an object"):
+                graph_from_dict(data)
+
+    def test_node_without_kind_or_id_rejected(self):
+        for bad in ({"id": 1}, {"kind": "affine"}, 1):
+            nodes = [self.CHAIN[0], bad, self.CHAIN[2]]
+            with pytest.raises(GraphValidationError, match=r"nodes\[1\]"):
+                graph_from_dict({"nodes": nodes, "edges": [[0, 1], [1, 2]], "output": 2})
+
+    def test_edge_endpoint_out_of_range_rejected(self):
+        for edge in ([2, 7], [3, 2], [-1, 2], [1, -3]):
+            with pytest.raises(GraphValidationError, match="outside 0..2"):
+                graph_from_dict(
+                    {"nodes": self.CHAIN, "edges": [[0, 1], [1, 2], edge], "output": 2}
+                )
+
+    def test_edge_not_a_pair_rejected(self):
+        for edge in ([0, 1, 2], [1], 5, "01"):
+            with pytest.raises(GraphValidationError, match="pair"):
+                graph_from_dict(
+                    {"nodes": self.CHAIN, "edges": [edge, [1, 2]], "output": 2}
+                )
+
+
+class TestCompiledProgram:
+    def test_validates_and_enumerates_once_per_graph(self, monkeypatch):
+        calls = {"validate": 0, "enumerate": 0}
+        validate, enumerate_ = netgraph.validate_graph, netgraph.enumerate_maximal_subnetworks
+
+        def counting_validate(g):
+            calls["validate"] += 1
+            return validate(g)
+
+        def counting_enumerate(g):
+            calls["enumerate"] += 1
+            return enumerate_(g)
+
+        monkeypatch.setattr(netgraph, "validate_graph", counting_validate)
+        monkeypatch.setattr(netgraph, "enumerate_maximal_subnetworks", counting_enumerate)
+        g = build_rescaled_resnet(8, 0.5, branch_nonlinear_count=2, with_transitions=True)
+        r = lambda c: lrelu_c_map(0.3, c)
+        first = eval_M(g, r, 0.0)
+        for _ in range(4):
+            assert eval_M(g, r, 0.0) == first
+        assert calls == {"validate": 1, "enumerate": 1}
+        # an equal but distinct graph object compiles its own program
+        eval_M(build_rescaled_resnet(8, 0.5, branch_nonlinear_count=2, with_transitions=True),
+               lambda c: c, 0.0)
+        assert calls == {"validate": 2, "enumerate": 2}
+
+    def test_invalid_graph_raises_on_every_call(self):
+        nodes = (Node(0, INPUT), Node(1, AFFINE), Node(2, AFFINE))
+        g = NetworkGraph(nodes, ((), (2,), (1,)), 2)
+        for _ in range(2):
+            with pytest.raises(GraphValidationError):
+                eval_M(g, lambda c: c, 0.0)
+            with pytest.raises(GraphValidationError):
+                eval_U(g, lambda c: c, 0.0)
+            with pytest.raises(GraphValidationError):
+                g.topo_order()
+
+    def test_unnormalized_graph_is_never_cached(self):
+        nodes = (Node(0, INPUT), Node(1, AFFINE), Node(2, NONLINEAR), Node(3, SUM, (0.5, 0.5)))
+        g = NetworkGraph(nodes, ((), (0,), (1,), (0, 2)), 3)
+        for _ in range(2):
+            with pytest.raises(GraphValidationError, match="unnormalized sum"):
+                eval_M(g, lambda c: c, 0.0)
+
+    def test_cache_leaves_equality_and_hash_alone(self):
+        g, h = build_rescaled_resnet(4, 0.5), build_rescaled_resnet(4, 0.5)
+        eval_M(g, lambda c: c, 0.0)
+        assert g == h and hash(g) == hash(h)
+
+    def test_topo_order_returns_a_fresh_list(self):
+        g = build_rescaled_resnet(3, 0.5)
+        order = g.topo_order()
+        order.reverse()
+        assert g.topo_order() != order
+        assert sorted(g.topo_order()) == list(range(g.num_nodes))
