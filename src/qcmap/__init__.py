@@ -42,11 +42,13 @@ from .finite_width import (
 )
 from .kernel_maps import (
     CStats,
+    KernelMap,
     LocalMapParams,
     QuadratureRule,
     cstats,
     default_rule,
     global_c,
+    kernel_map,
     local_c,
     local_c_derivative,
     local_q,

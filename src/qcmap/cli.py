@@ -15,10 +15,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .activations import TReLU, parse_activation
-from .errors import QcmapError, UnattainableTargetError
+from .activations import parse_activation
+from .errors import DomainError, QcmapError, UnattainableTargetError
 from .finite_width import InitScheme, SimConfig, run_simulation, theory_trace
-from .kernel_maps import LocalMapParams, default_rule, local_c, lrelu_c_map
+from .kernel_maps import LocalMapParams, kernel_map
 from .netgraph import (
     NetworkGraph,
     build_rescaled_resnet,
@@ -101,14 +101,12 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_cmap(args) -> int:
+    if args.points < 1:
+        raise ValueError(f"--points must be >= 1, got {args.points}")
+    if not abs(args.start) <= 1.0:
+        raise DomainError(f"--from must lie in [-1, 1], got {args.start}")
     graph = _parse_graph(args.graph)
-    act = parse_activation(args.activation)
-    if isinstance(act, TReLU):
-        local = lambda c: lrelu_c_map(act.alpha, c)
-    else:
-        rule = default_rule()
-        params = LocalMapParams(act)
-        local = lambda c: local_c(params, rule, c, 1.0, 1.0)
+    local = kernel_map(LocalMapParams(parse_activation(args.activation)))
     grid = np.linspace(args.start, 1.0, args.points)
     values = eval_U(graph, local, grid)
     out, close = _open_output(args.output)
@@ -133,13 +131,7 @@ def _cmd_simulate(args) -> int:
     )
     scheme = InitScheme(args.init)
     trace = run_simulation(config, act, scheme)
-    if isinstance(act, TReLU):
-        local = lambda c: lrelu_c_map(act.alpha, c)
-    else:
-        rule = default_rule()
-        params = LocalMapParams(act)
-        local = lambda c: local_c(params, rule, c, 1.0, 1.0)
-    theory = theory_trace(local, config.initial_c, config.depth)
+    theory = theory_trace(kernel_map(LocalMapParams(act)), config.initial_c, config.depth)
     out, close = _open_output(args.output)
     writer = csv.writer(out)
     writer.writerow(["layer_index", "mean_c", "std_c", "mean_q", "theory_c"])

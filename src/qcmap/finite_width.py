@@ -48,7 +48,7 @@ class SimConfig:
         for name in ("width", "depth", "trials", "pairs_per_trial"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if abs(self.initial_c) > 1.0:
+        if not abs(self.initial_c) <= 1.0:
             raise ValueError(f"|initial_c| must be <= 1, got {self.initial_c}")
 
 

@@ -1,23 +1,28 @@
 """Local and global Q/C maps.
 
-Leaky-ReLU maps are evaluated in closed form; everything else goes through
-quadrature against the standard Gaussian density.  Smooth activations use
-Gauss-Hermite directly.  Activations with kinks get a composite
-Gauss-Legendre scheme split at the kink locations, since Gauss-Hermite
-converges only polynomially on non-smooth integrands.  The 2-D expectations
-use the substitution z2' = c z1 + sqrt(1 - c^2) z2.
+`kernel_map` is the one constructor of local C maps for callers: the
+leaky-ReLU family in closed form (the arc-cosine kernel), smooth
+activations as their Hermite dual-activation series, and anything else
+(kinked transformed activations) by quadrature.  The quadrature functions
+(`local_q`, `local_c`, `local_c_derivative`, `cstats`) integrate against
+the standard Gaussian density with a composite Gauss-Legendre scheme split
+at the kink locations, since Gauss-Hermite converges only polynomially on
+non-smooth integrands; they stay pure quadrature, so tests can use them as
+an oracle independent of the closed forms.  The 2-D expectations use the
+substitution z2' = c z1 + sqrt(1 - c^2) z2.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
-from .activations import Activation
+from .activations import Activation, LReLU, TReLU
 from .errors import DomainError, UnsupportedDerivativeError
 from .netgraph import NetworkGraph, eval_U
 
@@ -25,7 +30,9 @@ __all__ = [
     "QuadratureRule",
     "LocalMapParams",
     "CStats",
+    "KernelMap",
     "default_rule",
+    "kernel_map",
     "lrelu_c_map",
     "lrelu_c_map_derivative",
     "local_q",
@@ -43,6 +50,13 @@ _TRUNC = 12.0
 # cluster quadratically at panel edges, which is exactly where the
 # integrands concentrate (activation kinks and the origin)
 _MAX_PANEL_WIDTH = 12.0
+# highest Hermite degree kept: the default 60-point panels resolve the
+# coefficients to ~1e-13 up to degree ~150-165 (tanh and softplus at input
+# scales up to 3, against 240-point panels); what remains is reported
+_HERMITE_CAP = 150
+# the series stops once the remaining mass falls below this fraction of
+# E[phi^2], about ten times the rounding floor of the running sum
+_HERMITE_RTOL = 1e-14
 
 
 @lru_cache(maxsize=32)
@@ -201,11 +215,13 @@ class QuadratureRule:
         return np.einsum("j,ijk,ijk->i", w1, w2, vals)
 
 
+def _default_order() -> int:
+    return int(os.environ.get("QCMAP_QUAD_ORDER", DEFAULT_QUAD_ORDER))
+
+
 def default_rule(order: int | None = None) -> QuadratureRule:
     """Default 60-point rule; QCMAP_QUAD_ORDER overrides."""
-    if order is None:
-        order = int(os.environ.get("QCMAP_QUAD_ORDER", DEFAULT_QUAD_ORDER))
-    return QuadratureRule.gauss_hermite(order)
+    return QuadratureRule.gauss_hermite(_default_order() if order is None else order)
 
 
 @dataclass(frozen=True)
@@ -217,8 +233,10 @@ class LocalMapParams:
     sigma_b: float = 0.0
 
     def __post_init__(self):
-        if self.sigma_w < 0 or self.sigma_b < 0:
-            raise ValueError("sigma_w and sigma_b must be non-negative")
+        for name in ("sigma_w", "sigma_b"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
 @dataclass(frozen=True)
@@ -349,6 +367,100 @@ def local_c_derivative(
     denom = math.sqrt(local_q(params, rule, q1) * local_q(params, rule, q2))
     out = params.sigma_w**2 * (q1 * q2) ** (order / 2.0) / denom * num
     return out if np.ndim(out) else float(out)
+
+
+@dataclass(frozen=True)
+class KernelMap:
+    """Local C map c -> C(c; q1, q2), as built by kernel_map.
+
+    route says how it is evaluated: "arccos" (closed form), "hermite"
+    (truncated dual-activation series) or "quadrature" (local_c).
+    tail_bound bounds the truncation error over |c| <= 1: 0 for the closed
+    form; for the series sigma_w^2 sqrt(r(q1) r(q2)) / sqrt(Q(q1) Q(q2)),
+    where r(q) = E[phi(sqrt(q) z)^2] - sum of the kept squared coefficients
+    (Cauchy-Schwarz on the dropped terms); None for quadrature.  Calls
+    follow local_c: arrays broadcast, scalars give a float, |c| > 1 + 1e-12
+    raises DomainError and NaN passes through.
+    """
+
+    route: str
+    tail_bound: float | None
+    _local: Callable = field(repr=False, compare=False)
+
+    def __call__(self, c):
+        return self._local(c)
+
+
+@lru_cache(maxsize=8)
+def _hermite_basis(order: int):
+    """Nodes x, weights w and the rows w h_n(x), n = 0.._HERMITE_CAP.
+
+    h_n are the orthonormal probabilists' Hermite polynomials, from the
+    recurrence h_{n+1} = (x h_n - sqrt(n) h_{n-1}) / sqrt(n + 1); the rows
+    carry the weights (Gaussian density folded in), so basis @ f(x) gives
+    the coefficients E[f(z) h_n(z)].
+    """
+    x, w = _piecewise_1d((0.0,), order)
+    basis = np.empty((_HERMITE_CAP + 1, x.size))
+    basis[0] = w
+    basis[1] = x * w
+    for n in range(1, _HERMITE_CAP):
+        basis[n + 1] = (x * basis[n] - math.sqrt(n) * basis[n - 1]) / math.sqrt(n + 1)
+    return x, w, basis
+
+
+def _hermite_coefficients(phi: Activation, s: float, order: int):
+    """Coefficients a_n of phi(s z), E[phi(s z)^2] and the tails E - sum a^2."""
+    x, w, basis = _hermite_basis(order)
+    v = phi.value(s * x)
+    a = basis @ v
+    mass = float(np.dot(w, v * v))
+    return a, mass, mass - np.cumsum(a * a)
+
+
+def kernel_map(params: LocalMapParams, q1: float = 1.0, q2: float = 1.0) -> KernelMap:
+    """The local C map of local_c(params, rule, ., q1, q2) without 2-D quadrature.
+
+    Leaky ReLUs (ReLU, LReLU, TReLU, any slope) are positively homogeneous,
+    so E[phi(sqrt(q1) z1) phi(sqrt(q2) z2')] = sqrt(q1 q2) E[phi(z)^2]
+    lrelu_c_map(alpha, c), the arc-cosine kernel (Cho & Saul 2009).
+    Smooth activations use Mehler's formula (the dual activation of Daniely,
+    Frostig & Singer 2016): E[phi(s1 z1) phi(s2 z2')] = sum_n a_n(s1)
+    a_n(s2) c^n, with a_n(s) = E[phi(s z) h_n(z)] from one 1-D pass over the
+    kink-split nodes local_q uses.  Other activations, a transformed leaky
+    ReLU among them (its kink may sit off the origin), fall back to local_c.
+    """
+    if not (q1 > 0 and q2 > 0):
+        raise DomainError(f"q values must be positive, got {q1}, {q2}")
+    phi = params.activation
+    sw2, sb2 = params.sigma_w**2, params.sigma_b**2
+    if isinstance(phi, (LReLU, TReLU)):
+        alpha = phi.alpha
+        scale = phi.scale if isinstance(phi, TReLU) else 1.0
+        m = scale * scale * (1.0 + alpha * alpha) / 2.0  # E[phi(z)^2]
+        denom = math.sqrt((sw2 * m * q1 + sb2) * (sw2 * m * q2 + sb2))
+        a, b = sw2 * m * math.sqrt(q1 * q2) / denom, sb2 / denom
+        return KernelMap("arccos", 0.0, lambda c: a * lrelu_c_map(alpha, c) + b)
+    if not phi.smooth:
+        rule = default_rule()
+        return KernelMap("quadrature", None, lambda c: local_c(params, rule, c, q1, q2))
+    order = _default_order()
+    a1, m1, r1 = _hermite_coefficients(phi, math.sqrt(q1), order)
+    a2, m2, r2 = (a1, m1, r1) if q2 == q1 else _hermite_coefficients(
+        phi, math.sqrt(q2), order
+    )
+    done = (r1 <= _HERMITE_RTOL * m1) & (r2 <= _HERMITE_RTOL * m2)
+    n = int(np.argmax(done)) if done.any() else _HERMITE_CAP
+    denom = math.sqrt((sw2 * m1 + sb2) * (sw2 * m2 + sb2))
+    coef = sw2 * a1[: n + 1] * a2[: n + 1] / denom
+    coef[0] += sb2 / denom
+    tail = sw2 * math.sqrt(max(r1[n], 0.0) * max(r2[n], 0.0)) / denom
+
+    def local(c):
+        out = np.polynomial.polynomial.polyval(_clamp_unit(c, "kernel_map"), coef)
+        return out if out.ndim else float(out)
+
+    return KernelMap("hermite", tail, local)
 
 
 def global_c(g: NetworkGraph, local, c0):

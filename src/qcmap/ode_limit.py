@@ -99,8 +99,10 @@ def psi(c0, T: float):
 
 def integrate_psi(c0: float, T: float) -> OdeSolution:
     """Integrate from c0 for time T, recording a sampled trajectory."""
-    if abs(c0) > 1.0 + 1e-12:
+    if not abs(c0) <= 1.0 + 1e-12:
         raise DomainError(f"|c0| must be <= 1, got {c0}")
+    if not (math.isfinite(T) and T >= 0):
+        raise DomainError(f"T must be finite and >= 0, got {T}")
     c0 = min(max(c0, -1.0), 1.0)
     h_max = 1e-4 * max(T, 1.0)
     n_steps = max(1, math.ceil(T / h_max)) if T > 0 else 1
@@ -124,12 +126,15 @@ def _rk4_step(x: float, h: float) -> float:
 
 
 def find_T(eta: float, tol: float = 1e-8) -> float:
-    """Time T with psi(0, T) = eta, by bisection with bracket doubling.
+    """Time T with psi(0, T) = eta to within tol, by bisection with bracket doubling.
 
     A single recorded integration brackets eta between two consecutive RK
     steps; bisection then runs inside that one step, so each trial value
     costs a single RK4 step instead of a fresh integration.  The one-step
-    local error (~h^5) is far below the requested tolerance.
+    local error (~h^5) is far below the requested tolerance.  Bisection
+    stops on the residual psi - eta, which is the time error times
+    dpsi/dt = ode_rhs(eta); that slope falls to ~1e-3 at eta = 0.99, so the
+    residual tolerance is tol * ode_rhs(eta).
     """
     if not 0.0 < eta < 1.0:
         raise DomainError(f"eta must lie in (0, 1), got {eta}")
@@ -147,7 +152,7 @@ def find_T(eta: float, tol: float = 1e-8) -> float:
     t_lo, x_lo = float(times[k - 1]), float(states[k - 1])
     t_hi = float(times[k])
     return bisect(
-        lambda t: _rk4_step(x_lo, t - t_lo) - eta, t_lo, t_hi, tol=tol
+        lambda t: _rk4_step(x_lo, t - t_lo) - eta, t_lo, t_hi, tol=tol * ode_rhs(eta)
     )
 
 

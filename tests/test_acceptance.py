@@ -30,6 +30,7 @@ from qcmap import (
     eval_U,
     eval_U_with_derivative,
     integrate_psi,
+    kernel_map,
     local_c,
     local_c_derivative,
     lrelu_c_map,
@@ -266,7 +267,7 @@ def _c07():
     for base, tau, sol in _smooth_solutions():
         params = LocalMapParams(sol.activation)
         g = build_vanilla(50)
-        vals = eval_U(g, lambda c: local_c(params, RULE, c, 1.0, 1.0), GRID)
+        vals = eval_U(g, kernel_map(params), GRID)
         cpp_f = 50.0 * cstats(params, doubled).cpp1
         slack = np.max(np.abs(vals - GRID)) - 2.0 * cpp_f
         worst_slack = max(worst_slack, slack)

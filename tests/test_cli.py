@@ -126,6 +126,35 @@ class TestCmapCommand:
                 lrelu_c_map(0.3, lrelu_c_map(0.3, c)), abs=1e-9
             )
 
+    @pytest.mark.parametrize("act, alpha", [("relu", 0.0), ("lrelu:0.3", 0.3),
+                                            ("lrelu:-0.2", -0.2)])
+    def test_leaky_relu_family_is_the_composed_closed_form(self, capsys, act, alpha):
+        # arc-cosine kernel written out here, independent of lrelu_c_map
+        def k1(c):
+            return (math.sqrt(1 - c * c) + (math.pi - math.acos(c)) * c) / (2 * math.pi)
+
+        def local(c):
+            return ((1 + alpha**2) * k1(c) - 2 * alpha * k1(-c)) / (0.5 * (1 + alpha**2))
+
+        code, out, _ = invoke(
+            ["cmap", "--graph", "vanilla:3", "--activation", act, "--points", "41"],
+            capsys,
+        )
+        assert code == 0
+        for c_str, v_str in list(csv.reader(io.StringIO(out)))[1:]:
+            c = float(c_str)
+            assert abs(float(v_str) - local(local(local(c)))) <= 1e-12
+
+    @pytest.mark.parametrize("flags, error", [(["--points", "0"], "ValueError"),
+                                              (["--from", "nan"], "DomainError")])
+    def test_empty_or_nan_grid_fails_cleanly(self, capsys, flags, error):
+        code, out, err = invoke(
+            ["cmap", "--graph", "vanilla:2", "--activation", "tanh", *flags], capsys
+        )
+        assert code == 1 and out == ""
+        envelope = json.loads(err)
+        assert envelope["error"] == error and flags[0] in envelope["message"]
+
     def test_resnet_graph_spec(self, capsys):
         code, out, _ = invoke(
             ["cmap", "--graph", "resnet:2:0.5", "--activation", "trelu:0.2",
@@ -178,6 +207,11 @@ class TestSimulateCommand:
         assert code == 1
         assert json.loads(err)["error"] == "ValueError"
 
+    def test_nan_c0_fails_cleanly(self, capsys):
+        code, out, err = invoke(self.ARGS + ["--c0", "nan"], capsys)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "ValueError"
+
 
 class TestOdeCommand:
     def test_by_duration(self, capsys):
@@ -192,6 +226,11 @@ class TestOdeCommand:
         code, out, _ = invoke(["ode", "--eta", "0.8"], capsys)
         rows = list(csv.reader(io.StringIO(out)))
         assert float(rows[-1][1]) == pytest.approx(0.8, abs=1e-6)
+
+    def test_nan_c0_fails_cleanly(self, capsys):
+        code, out, err = invoke(["ode", "--c0", "nan", "--T", "1"], capsys)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "DomainError"
 
     def test_requires_eta_or_T(self, capsys):
         code, _, err = invoke(["ode"], capsys)

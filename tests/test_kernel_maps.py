@@ -1,4 +1,8 @@
-"""Tests for local/global Q-C map evaluation and the closed-form LReLU maps."""
+"""Tests for local/global Q-C map evaluation and the closed-form LReLU maps.
+
+The kernel_map routes (arc-cosine closed form, Hermite series) are checked
+against local_c quadrature, which shares no code with either of them.
+"""
 
 import math
 import os
@@ -25,14 +29,21 @@ from qcmap import (
     default_rule,
     eval_U,
     global_c,
+    kernel_map,
     local_c,
     local_c_derivative,
     local_q,
     lrelu_c_map,
     lrelu_c_map_derivative,
+    solve_dks,
+    solve_tat_smooth,
 )
 
 RULE = default_rule()
+RULE_120 = QuadratureRule.gauss_hermite(120)
+GRID = np.linspace(-1.0, 1.0, 201)
+# (q1, q2, sigma_w, sigma_b): the plain map and a biased one off the diagonal
+KERNEL_CASES = [(1.0, 1.0, 1.0, 0.0), (0.7, 2.3, 1.3, 0.4)]
 
 
 class TestQuadratureRule:
@@ -392,3 +403,93 @@ class TestDeviationBounds:
             bound_slope = min(4 * c0, 1.0)
             assert np.max(np.abs(vals - grid)) <= bound_map + 1e-9
             assert np.max(np.abs(grads - 1.0)) <= bound_slope + 1e-9
+
+
+class TestLocalMapParams:
+    @pytest.mark.parametrize(
+        "kwargs", [{"sigma_w": math.nan}, {"sigma_b": math.nan},
+                   {"sigma_w": math.inf}, {"sigma_b": -0.1}]
+    )
+    def test_non_finite_or_negative_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            LocalMapParams(Tanh(), **kwargs)
+
+
+@pytest.fixture(scope="module")
+def solved_smooth():
+    g = build_vanilla(50)
+    return [solve_tat_smooth(g, Tanh(), 0.3).activation,
+            solve_dks(g, SoftPlus(), 1.1).activation]
+
+
+class TestKernelMap:
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_series_matches_quadrature(self, case, solved_smooth):
+        q1, q2, sw, sb = case
+        for act in [Tanh(), SoftPlus(), Identity(), *solved_smooth]:
+            p = LocalMapParams(act, sigma_w=sw, sigma_b=sb)
+            k = kernel_map(p, q1, q2)
+            assert k.route == "hermite"
+            want = local_c(p, RULE_120, GRID, q1, q2)
+            assert np.max(np.abs(k(GRID) - want)) <= 1e-10, act
+
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_arccos_matches_quadrature(self, case):
+        q1, q2, sw, sb = case
+        acts = [LReLU(a) for a in (0.0, 0.05, 0.5, -0.3, 2.0)] + [ReLU(), TReLU(0.4)]
+        for act in acts:
+            p = LocalMapParams(act, sigma_w=sw, sigma_b=sb)
+            k = kernel_map(p, q1, q2)
+            assert k.route == "arccos"
+            want = local_c(p, RULE, GRID, q1, q2)
+            assert np.max(np.abs(k(GRID) - want)) <= 1e-9, act
+
+    def test_trelu_is_the_closed_form_exactly(self):
+        k = kernel_map(LocalMapParams(TReLU(0.3)))
+        assert np.array_equal(k(GRID), lrelu_c_map(0.3, GRID))
+        assert k(0.25) == lrelu_c_map(0.3, 0.25)
+
+    def test_kinked_transform_uses_quadrature(self):
+        p = LocalMapParams(TransformedActivation(ReLU(), beta=0.3), sigma_b=0.2)
+        k = kernel_map(p, 0.7, 2.3)
+        assert k.route == "quadrature" and k.tail_bound is None
+        assert np.array_equal(k(GRID), local_c(p, RULE, GRID, 0.7, 2.3))
+
+    @pytest.mark.parametrize(
+        "act", [TReLU(0.2), LReLU(0.3), Tanh(), TransformedActivation(ReLU(), beta=0.3)]
+    )
+    def test_shared_domain_rules(self, act):
+        k = kernel_map(LocalMapParams(act))
+        for c in (1.0 + 1e-9, -1.0 - 1e-9):
+            with pytest.raises(DomainError):
+                k(c)
+            with pytest.raises(DomainError):
+                k(np.array([0.0, c]))
+        assert math.isnan(k(math.nan))
+        assert np.isnan(k(np.array([math.nan]))).all()
+        assert isinstance(k(0.5), float)
+        assert k(1.0 + 1e-13) == pytest.approx(k(1.0), abs=1e-12)
+
+    def test_rejects_nonpositive_q(self):
+        for q1, q2 in ((0.0, 1.0), (1.0, -2.0)):
+            with pytest.raises(DomainError):
+                kernel_map(LocalMapParams(Tanh()), q1, q2)
+
+    @pytest.mark.parametrize("q1, q2", [(4.0, 4.0), (9.0, 9.0), (4.0, 9.0)])
+    def test_certificate_bounds_the_deviation(self, q1, q2):
+        # at these input scales the series hits its term cap with a tail far
+        # above the quadrature floor, so the bound is exercised, not vacuous
+        p = LocalMapParams(Tanh(), sigma_b=0.1)
+        k = kernel_map(p, q1, q2)
+        dev = np.abs(k(GRID) - local_c(p, RULE_120, GRID, q1, q2))
+        assert k.tail_bound > 1e-9
+        assert np.max(dev) <= k.tail_bound + 1e-13
+        if q1 == q2:
+            # at c = 1 every dropped term counts with weight one
+            assert dev[-1] >= 0.9 * k.tail_bound
+
+    def test_certificates_of_the_exact_routes(self):
+        assert kernel_map(LocalMapParams(LReLU(0.1))).tail_bound == 0.0
+        k = kernel_map(LocalMapParams(SoftPlus()))
+        dev = np.abs(k(GRID) - local_c(LocalMapParams(SoftPlus()), RULE_120, GRID, 1.0, 1.0))
+        assert k.tail_bound <= 1e-14 and np.max(dev) <= k.tail_bound + 1e-13

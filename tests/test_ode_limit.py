@@ -8,6 +8,8 @@ Oracles:
   arrival at any eta < 1.
 - [DERIVED] step-halving consistency of the integrator and bisection
   round-trips of the time solver.
+- [INDEPENDENT] the time to reach eta against a Gauss-Legendre quadrature
+  of dt = dx / f(x), which shares no code with the integrator.
 """
 
 import math
@@ -120,12 +122,32 @@ class TestIntegratePsi:
         with pytest.raises(DomainError):
             integrate_psi(1.5, 1.0)
 
+    @pytest.mark.parametrize(
+        "c0, T", [(math.nan, 1.0), (0.0, math.nan), (0.0, math.inf), (0.0, -1.0)]
+    )
+    def test_non_finite_or_negative_inputs_rejected(self, c0, T):
+        with pytest.raises(DomainError):
+            integrate_psi(c0, T)
+
 
 class TestFindT:
     @pytest.mark.parametrize("eta", [0.01, 0.3, 0.5, 0.9, 0.99])
     def test_round_trip(self, eta):
         T = find_T(eta)
         assert abs(psi(0.0, T) - eta) <= 1e-7
+
+    @pytest.mark.parametrize("eta", [0.5, 0.9, 0.95, 0.99])
+    def test_time_matches_quadrature_of_inverse_rhs(self, eta):
+        # T(eta) = int_0^eta dx / f(x); in u = (1 - x)^(-1/2) the integrand
+        # 2 u^-3 / f(1 - u^-2) stays bounded up to x = 1, so 100-point
+        # Gauss-Legendre gives it to ~1e-14
+        gx, gw = np.polynomial.legendre.leggauss(100)
+        u_hi = (1.0 - eta) ** -0.5
+        u = 1.0 + 0.5 * (u_hi - 1.0) * (gx + 1.0)
+        x = 1.0 - u**-2
+        f = np.sqrt(1.0 - x * x) - x * np.arccos(x)
+        want = 0.5 * (u_hi - 1.0) * float(np.sum(gw * 2.0 * u**-3 / f))
+        assert abs(find_T(eta) - want) <= 1e-8
 
     def test_tiny_eta_tiny_time(self):
         # rhs(0) = 1, so T ~ eta for small eta
