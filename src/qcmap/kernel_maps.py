@@ -147,7 +147,7 @@ class QuadratureRule:
             out = np.empty(c_arr.shape)
             degenerate = 1.0 - c_arr * c_arr < 1e-13
             for i in np.flatnonzero(degenerate):
-                out[i] = self._expect2_split(f, float(c_arr[i]), kinks1, kinks2)
+                out[i] = self._expect2_degenerate(f, float(c_arr[i]), kinks1, kinks2)
             idx = np.flatnonzero(~degenerate)
             # chunked so the (c, outer-node, inner-node) arrays stay small
             for start in range(0, idx.size, 8):
@@ -166,34 +166,15 @@ class QuadratureRule:
             out = np.einsum("i,j,kij->k", w, w, vals)
         return out if np.ndim(c) else float(out[0])
 
-    def _expect2_split(self, f, cval: float, kinks1, kinks2) -> float:
-        order = self.order
-        st2 = 1.0 - cval * cval
-        if st2 < 1e-13:
-            # degenerate: z2' = sign(c) z1, a 1-D expectation
-            sign = 1.0 if cval >= 0 else -1.0
-            all_kinks = tuple(sorted(set(kinks1) | {sign * k for k in kinks2}))
-            x, w = _piecewise_1d(all_kinks, order)
-            return float(np.dot(w, f(x, sign * x)))
-        st = math.sqrt(st2)
-        x1, w1 = _piecewise_1d(tuple(kinks1), order)
-        # inner kink locations per outer node, monotone in the kink value
-        bounds = [np.full_like(x1, -_TRUNC)]
-        for k in sorted(kinks2):
-            bounds.append(np.clip((k - cval * x1) / st, -_TRUNC, _TRUNC))
-        bounds.append(np.full_like(x1, _TRUNC))
-        xs, ws = [], []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            x, w = _segment_nodes(lo, np.maximum(lo, hi), order, 2)
-            xs.append(x)
-            ws.append(w)
-        x2 = np.concatenate(xs, axis=-1)
-        w2 = np.concatenate(ws, axis=-1)
-        vals = f(x1[:, None], cval * x1[:, None] + st * x2)
-        return float(w1 @ np.sum(w2 * vals, axis=-1))
+    def _expect2_degenerate(self, f, cval: float, kinks1, kinks2) -> float:
+        """|c| = 1 to within 1e-13: z2' = sign(c) z1, a 1-D expectation."""
+        sign = 1.0 if cval >= 0 else -1.0
+        all_kinks = tuple(sorted(set(kinks1) | {sign * k for k in kinks2}))
+        x, w = _piecewise_1d(all_kinks, self.order)
+        return float(np.dot(w, f(x, sign * x)))
 
     def _expect2_split_chunk(self, f, cvals, kinks1, kinks2) -> np.ndarray:
-        """Vectorized _expect2_split over several non-degenerate c values."""
+        """Kink-split 2-D expectation over several non-degenerate c values."""
         order = self.order
         x1, w1 = _piecewise_1d(tuple(kinks1), order)
         cs = cvals[:, None]

@@ -6,6 +6,12 @@ scalar function for the local C map at every nonlinear node, and ``eval_M``
 maximizes it over the candidate subnetworks returned by
 ``enumerate_maximal_subnetworks``.
 
+The candidates come from the graph's structure alone.  A subnetwork is a
+single-entry single-exit region (e, x): e dominates x, x post-dominates e,
+and e is not a sum.  Extending a region serially, at its exit or before its
+entry, never lowers its value when the rule r is non-decreasing with
+r(y) >= y, so only maximal regions are kept, one per distinct shape.
+
 Each graph is lowered once, on first use, into flat programs (one for the
 whole graph, one per candidate subnetwork) cached on the graph object; a
 single interpreter, ``_run``, evaluates all of them.
@@ -16,7 +22,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -50,10 +56,6 @@ SUM = "sum"
 
 _KINDS = (INPUT, AFFINE, NONLINEAR, SUM)
 
-# Node count above which exhaustive subnetwork enumeration is refused for
-# graphs of unknown family (enumeration is exponential in node count).
-EXHAUSTIVE_NODE_LIMIT = 16
-
 
 @dataclass(frozen=True)
 class Node:
@@ -76,11 +78,6 @@ class NetworkGraph:
     nodes: tuple[Node, ...]
     preds: tuple[tuple[int, ...], ...]  # preds[i] lists predecessors of node i
     output: int
-    # Builder metadata used by the subnetwork-candidate reduction.  "vanilla"
-    # and "resnet" graphs get the family-specific candidate set; anything
-    # else falls back to exhaustive enumeration.
-    family: str | None = field(default=None, compare=False)
-    branches: tuple[frozenset[int], ...] = field(default=(), compare=False)
 
     def node(self, node_id: int) -> Node:
         return self.nodes[node_id]
@@ -167,27 +164,14 @@ def validate_graph(g: NetworkGraph) -> None:
                     f"node {node.id}: sum node needs one weight per predecessor", node.id
                 )
             total = sum(w * w for w in node.weights)
-            if abs(total - 1.0) > 1e-12:
+            if not abs(total - 1.0) <= 1e-12:  # NaN fails too
                 raise GraphValidationError(
                     f"node {node.id}: unnormalized sum weights (sum of squares = {total})",
                     node.id,
                 )
 
+    # Acyclic, and only the input lacks predecessors: all nodes reach back to it.
     g.topo_order()  # raises on cycles
-
-    # reachability: input -> every node -> output
-    succ = g.successors()
-    seen = {inputs[0]}
-    stack = [inputs[0]]
-    while stack:
-        for s in succ[stack.pop()]:
-            if s not in seen:
-                seen.add(s)
-                stack.append(s)
-    if len(seen) != n:
-        missing = sorted(set(range(n)) - seen)
-        raise GraphValidationError(f"nodes {missing} unreachable from input")
-
     reaches_out = {g.output}
     stack = [g.output]
     while stack:
@@ -219,7 +203,7 @@ def build_vanilla(depth: int) -> NetworkGraph:
         nodes.append(Node(nl, NONLINEAR))
         preds.append((a,))
         prev = nl
-    return NetworkGraph(tuple(nodes), tuple(preds), prev, family="vanilla")
+    return NetworkGraph(tuple(nodes), tuple(preds), prev)
 
 
 def build_rescaled_resnet(
@@ -261,7 +245,6 @@ def build_rescaled_resnet(
 
     nodes = [Node(0, INPUT)]
     preds: list[tuple[int, ...]] = [()]
-    branches: list[frozenset[int]] = []
     branch_weight = math.sqrt(max(0.0, 1.0 - w * w))
     prev = 0
 
@@ -274,19 +257,11 @@ def build_rescaled_resnet(
     for b in range(num_blocks):
         entry = prev
         cur = entry
-        branch_members = []
         for _ in range(branch_nonlinear_count):
-            a = add(AFFINE, (cur,))
-            nl = add(NONLINEAR, (a,))
-            branch_members += [a, nl]
-            cur = nl
-        branches.append(frozenset(branch_members))
+            cur = add(NONLINEAR, (add(AFFINE, (cur,)),))
 
         if b in transition_indices:
-            sa = add(AFFINE, (entry,))
-            snl = add(NONLINEAR, (sa,))
-            branches.append(frozenset([sa, snl]))
-            shortcut_end = snl
+            shortcut_end = add(NONLINEAR, (add(AFFINE, (entry,)),))
         else:
             shortcut_end = entry
         prev = add(SUM, (shortcut_end, cur), weights=(w, branch_weight))
@@ -295,28 +270,25 @@ def build_rescaled_resnet(
         a = add(AFFINE, (prev,))
         prev = add(NONLINEAR, (a,))
 
-    return NetworkGraph(
-        tuple(nodes), tuple(preds), prev, family="resnet", branches=tuple(branches)
-    )
+    return NetworkGraph(tuple(nodes), tuple(preds), prev)
 
 
 # ---------------------------------------------------------------------------
 # subnetwork enumeration
 
 
-def _subnetwork_shape_key(g: NetworkGraph, ref: SubnetworkRef):
+def _shape_key(g: NetworkGraph, members: list[int]):
     """Hashable key identifying a subnetwork up to isomorphism.
 
-    Canonical form: topologically ordered node kinds with locally renumbered
-    predecessor lists (sum weights included, rounded).
+    `members` lists the subnetwork's nodes in topological order.  Canonical
+    form: node kinds with locally renumbered predecessor lists (sum weights
+    included, rounded).
     """
-    members = ref.members
-    order = [n for n in g._order if n in members]
-    local = {nid: i for i, nid in enumerate(order)}
+    local = {nid: i for i, nid in enumerate(members)}
     key = []
-    for nid in order:
-        node = g.node(nid)
-        ps = tuple(sorted(local[p] for p in g.preds[nid] if p in members))
+    for nid in members:
+        node = g.nodes[nid]
+        ps = tuple(sorted(local[p] for p in g.preds[nid] if p in local))
         ws = None
         if node.weights is not None:
             ws = tuple(round(x, 12) for x in node.weights)
@@ -329,24 +301,15 @@ def _whole_graph_ref(g: NetworkGraph) -> SubnetworkRef:
     return SubnetworkRef(entry, g.output, frozenset(range(g.num_nodes)))
 
 
-def _branch_ref(g: NetworkGraph, members: frozenset[int]) -> SubnetworkRef:
-    inner_exits = [
-        n for n in members
-        if not any(n in g.preds[m] for m in members)
-    ]
-    inner_entries = [n for n in members if not any(p in members for p in g.preds[n])]
-    assert len(inner_entries) == 1 and len(inner_exits) == 1
-    return SubnetworkRef(inner_entries[0], inner_exits[0], members)
-
-
 def enumerate_all_subnetworks(g: NetworkGraph) -> list[SubnetworkRef]:
     """Exhaustively list all single-entry single-exit connected sub-DAGs.
 
-    Exponential in node count; intended for graphs up to ~16 nodes.  A valid
-    subnetwork has one entry node whose predecessors all lie outside the
-    member set (sum nodes may not be entries, since they would receive more
-    than one external input), all other members fully fed from inside, and a
-    unique exit; no member other than the exit may feed a node outside the
+    Exponential in node count: the tests' oracle for small graphs, never on
+    the evaluation path.  A valid subnetwork has one entry node whose
+    predecessors all lie outside the member set (sum nodes may not be
+    entries, since they would receive more than one external input), all
+    other members fully fed from inside (so all connected to the entry), and
+    a unique exit; no member other than the exit may feed a node outside the
     set, so the subnetwork exposes a single output.
     """
     succ = g.successors()
@@ -380,59 +343,87 @@ def enumerate_all_subnetworks(g: NetworkGraph) -> list[SubnetworkRef]:
                 for nid in combo
             ):
                 continue
-            if not _is_weakly_connected(g, members, succ):
-                continue
             refs.append(SubnetworkRef(entry, exits[0], members))
     return refs
 
 
-def _is_weakly_connected(g: NetworkGraph, members: frozenset[int], succ) -> bool:
-    start = next(iter(members))
-    seen = {start}
-    stack = [start]
-    while stack:
-        nid = stack.pop()
-        for other in itertools.chain(g.preds[nid], succ[nid]):
-            if other in members and other not in seen:
-                seen.add(other)
-                stack.append(other)
-    return len(seen) == len(members)
+def _immediate_dominators(order, preds) -> list[int]:
+    """Immediate dominators in a DAG whose only source is order[0].
+
+    One pass of the Cooper-Harvey-Kennedy intersection is exact here: every
+    node is visited after all of its predecessors.  The root maps to itself.
+    """
+    rank = [0] * len(order)
+    for i, v in enumerate(order):
+        rank[v] = i
+    idom = [order[0]] * len(order)
+    for v in order[1:]:
+        ps = preds[v]
+        d = ps[0]
+        for p in ps[1:]:
+            while d != p:
+                while rank[d] > rank[p]:
+                    d = idom[d]
+                while rank[p] > rank[d]:
+                    p = idom[p]
+        idom[v] = d
+    return idom
 
 
 def enumerate_maximal_subnetworks(g: NetworkGraph) -> list[SubnetworkRef]:
-    """Reduced candidate set for the subnetwork maximization.
+    """Maximal subnetworks, one per distinct shape, from the graph's structure.
 
-    A subnetwork that composes serially with another to form a larger one is
-    dominated and can be dropped.  For the builder families this leaves the
-    whole network plus one representative per distinct branch shape; unknown
-    topologies fall back to exhaustive enumeration (deduplicated by shape).
+    On a valid graph a subnetwork (as `enumerate_all_subnetworks` defines it)
+    is exactly a pair (e, x) with e dominating x, x post-dominating e and e
+    not a sum; its members are the nodes on e -> x paths.  A pair is kept
+    only when neither end can move: x is the furthest post-dominator of e
+    that e still dominates, and e the earliest non-sum dominator of x that x
+    still post-dominates.  Every other subnetwork is a serial piece of a kept
+    one (see `eval_M` for why dropping it is exact).
     """
     validate_graph(g)
-    whole = _whole_graph_ref(g)
-    if g.family == "vanilla":
-        return [whole]
-    if g.family == "resnet":
-        candidates = [whole]
-        seen_shapes = set()
-        for members in g.branches:
-            ref = _branch_ref(g, members)
-            key = _subnetwork_shape_key(g, ref)
-            if key not in seen_shapes:
-                seen_shapes.add(key)
-                candidates.append(ref)
-        return candidates
-    if g.num_nodes > EXHAUSTIVE_NODE_LIMIT:
-        raise GraphValidationError(
-            f"graph of unknown family with {g.num_nodes} nodes exceeds the "
-            f"exhaustive enumeration limit ({EXHAUSTIVE_NODE_LIMIT})"
-        )
-    refs = enumerate_all_subnetworks(g)
-    out, seen_shapes = [], set()
-    for ref in refs:
-        key = _subnetwork_shape_key(g, ref)
+    order = g._order
+    succ = g.successors()
+    idom = _immediate_dominators(order, g.preds)
+    ipdom = _immediate_dominators(order[::-1], succ)
+
+    # far[v]: furthest post-dominator of v that v dominates.  Along the
+    # post-dominator chain these form a prefix, and v dominates ipdom[v]
+    # exactly when it is that node's immediate dominator.
+    far = list(range(g.num_nodes))
+    for v in reversed(order):
+        u = ipdom[v]
+        if u != v and idom[u] == v:
+            far[v] = far[u]
+    # first[v]: earliest non-sum dominator of v that v post-dominates.
+    first: list[int | None] = [None] * g.num_nodes
+    for v in order:
+        d = idom[v]
+        if d != v and ipdom[d] == v and first[d] is not None:
+            first[v] = first[d]
+        elif g.nodes[v].kind != SUM:
+            first[v] = v
+
+    # The whole graph is the pair (input, output), order[0] and order[-1].
+    # Every other candidate is smaller, so it needs no shape key.
+    rank = {v: i for i, v in enumerate(order)}
+    out, seen_shapes = [_whole_graph_ref(g)], set()
+    for e in order[1:]:
+        x = far[e]
+        if first[x] != e:
+            continue
+        members, stack = {e}, [e]
+        while stack:
+            v = stack.pop()
+            if v != x:
+                for s in succ[v]:
+                    if s not in members:
+                        members.add(s)
+                        stack.append(s)
+        key = _shape_key(g, sorted(members, key=rank.__getitem__))
         if key not in seen_shapes:
             seen_shapes.add(key)
-            out.append(ref)
+            out.append(SubnetworkRef(e, x, frozenset(members)))
     return out
 
 
@@ -524,12 +515,40 @@ def eval_U_with_derivative(g: NetworkGraph, r, r_prime, x):
 
 
 def eval_M(g: NetworkGraph, r, x):
-    """Maximum of the generalized map over the candidate subnetworks."""
+    """Maximum of the generalized map over the candidate subnetworks.
+
+    This equals the maximum over every subnetwork of g when r is
+    non-decreasing and r(y) >= y at the values reached from x (the C maps at
+    0, ``1 + y`` at 0, ``m * y`` with m >= 1 at 1).  Then each piece that a
+    serial extension adds maps y to at least y, and the region it extends is
+    non-decreasing, so the extension is never smaller.  The reduction in
+    `enumerate_maximal_subnetworks` drops only such extended pieces.
+    """
     return max(_run(plan, r, x) for plan in g._candidate_plans)
 
 
 # ---------------------------------------------------------------------------
 # JSON graph description files
+
+
+def _index(value, what: str) -> int:
+    """An integral JSON number as an int; anything else is rejected."""
+    if isinstance(value, float) and value.is_integer() or (
+        isinstance(value, int) and not isinstance(value, bool)
+    ):
+        return int(value)
+    raise GraphValidationError(f"{what} must be an integer, got {value!r}")
+
+
+def _weights(raw, nid: int) -> tuple[float, ...] | None:
+    if raw is None:
+        return None
+    if isinstance(raw, list):
+        try:
+            return tuple(float(w) for w in raw)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise GraphValidationError(f"node {nid}: weights must be a list of numbers", nid)
 
 
 def graph_from_dict(data: dict) -> NetworkGraph:
@@ -541,7 +560,7 @@ def graph_from_dict(data: dict) -> NetworkGraph:
     try:
         raw_nodes = data["nodes"]
         edges = data["edges"]
-        output = int(data["output"])
+        output = _index(data["output"], "output")
     except KeyError as e:
         raise GraphValidationError(f"graph description missing field {e}") from e
     if not (isinstance(raw_nodes, (list, tuple)) and isinstance(edges, (list, tuple))):
@@ -549,18 +568,17 @@ def graph_from_dict(data: dict) -> NetworkGraph:
     for i, n in enumerate(raw_nodes):
         if not (isinstance(n, dict) and "id" in n and "kind" in n):
             raise GraphValidationError(f"nodes[{i}] needs an 'id' and a 'kind'")
-    ids = [int(n["id"]) for n in raw_nodes]
+    ids = [_index(n["id"], f"nodes[{i}] id") for i, n in enumerate(raw_nodes)]
     if sorted(ids) != list(range(len(ids))):
         raise GraphValidationError("node ids must be 0..n-1")
     nodes = [None] * len(ids)
-    for n in raw_nodes:
-        weights = tuple(float(w) for w in n["weights"]) if "weights" in n else None
-        nodes[int(n["id"])] = Node(int(n["id"]), str(n["kind"]), weights)
+    for nid, n in zip(ids, raw_nodes):
+        nodes[nid] = Node(nid, str(n["kind"]), _weights(n.get("weights"), nid))
     preds: list[list[int]] = [[] for _ in nodes]
     for edge in edges:
         if not (isinstance(edge, (list, tuple)) and len(edge) == 2):
             raise GraphValidationError(f"edge {edge!r} is not a [from, to] pair")
-        frm, to = int(edge[0]), int(edge[1])
+        frm, to = (_index(end, f"edge {edge!r} endpoint") for end in edge)
         if not (0 <= frm < len(nodes) and 0 <= to < len(nodes)):
             raise GraphValidationError(f"edge {edge!r} names a node outside 0..{len(nodes) - 1}")
         preds[to].append(frm)

@@ -61,14 +61,14 @@ class TatLreluSolution:
 
 
 @dataclass(frozen=True)
-class TatSmoothSolution:
+class _TransformSolution:
+    """Four transform parameters; subclasses add ``target_<_target>``,
+    ``residual_norm`` and ``base``."""
+
     alpha: float
     beta: float
     gamma: float
     delta: float
-    target_local_cpp1: float
-    residual_norm: float
-    base: Activation = field(compare=False, default=None)
 
     @property
     def activation(self) -> TransformedActivation:
@@ -79,45 +79,35 @@ class TatSmoothSolution:
 
     def to_dict(self) -> dict:
         return {
-            "method": "tat-smooth",
+            "method": self._method,
             "activation": type(self.base).__name__.lower(),
             "parameters": {
                 "alpha": self.alpha, "beta": self.beta,
                 "gamma": self.gamma, "delta": self.delta,
             },
-            "targets": {"local_cpp1": self.target_local_cpp1},
+            "targets": {self._target: getattr(self, f"target_{self._target}")},
             "residuals": {"norm": self.residual_norm},
         }
 
 
 @dataclass(frozen=True)
-class DksSolution:
-    alpha: float
-    beta: float
-    gamma: float
-    delta: float
-    target_local_cp1: float
+class TatSmoothSolution(_TransformSolution):
+    _method = "tat-smooth"
+    _target = "local_cpp1"
+
+    target_local_cpp1: float
     residual_norm: float
     base: Activation = field(compare=False, default=None)
 
-    @property
-    def activation(self) -> TransformedActivation:
-        return TransformedActivation(
-            base=self.base, alpha=self.alpha, beta=self.beta,
-            gamma=self.gamma, delta=self.delta,
-        )
 
-    def to_dict(self) -> dict:
-        return {
-            "method": "dks",
-            "activation": type(self.base).__name__.lower(),
-            "parameters": {
-                "alpha": self.alpha, "beta": self.beta,
-                "gamma": self.gamma, "delta": self.delta,
-            },
-            "targets": {"local_cp1": self.target_local_cp1},
-            "residuals": {"norm": self.residual_norm},
-        }
+@dataclass(frozen=True)
+class DksSolution(_TransformSolution):
+    _method = "dks"
+    _target = "local_cp1"
+
+    target_local_cp1: float
+    residual_norm: float
+    base: Activation = field(compare=False, default=None)
 
 
 @dataclass(frozen=True)

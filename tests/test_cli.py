@@ -5,6 +5,7 @@ the console script).  Checks cover exit codes, the JSON/CSV output contracts,
 the error envelope, and byte-identical determinism.
 """
 
+import contextlib
 import csv
 import io
 import json
@@ -12,12 +13,15 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qcmap import lrelu_c_map
+from qcmap import GraphValidationError, eval_M, lrelu_c_map
 from qcmap.cli import run
+from qcmap.netgraph import graph_from_dict
 
 
 def invoke(argv, capsys):
@@ -266,7 +270,23 @@ class TestValidateGraphCommand:
          "edges": [[0, 1], [1, 7]], "output": 1},
         {"nodes": [{"id": 0, "kind": "input"}, {"id": 1, "kind": "affine"}],
          "edges": [[0, 1, 1]], "output": 1},
-    ], ids=["top-level-list", "node-without-kind", "edge-to-missing-node", "edge-not-a-pair"])
+        {"nodes": [{"id": 0, "kind": "input"}, {"id": None, "kind": "affine"}],
+         "edges": [[0, 1]], "output": 1},
+        {"nodes": [{"id": 0, "kind": "input"}, {"id": 1, "kind": "affine"}],
+         "edges": [[0, 1]], "output": None},
+        {"nodes": [{"id": 0, "kind": "input"}, {"id": 1, "kind": "affine"}],
+         "edges": [[0, None]], "output": 1},
+        {"nodes": [{"id": 0, "kind": "input"}, {"id": 1, "kind": "affine"},
+                   {"id": 2, "kind": "sum", "weights": 5}],
+         "edges": [[0, 1], [0, 2], [1, 2]], "output": 2},
+        {"nodes": [{"id": 0, "kind": "input"}, {"id": 1.7, "kind": "affine"}],
+         "edges": [[0, 1]], "output": 1},
+        {"nodes": [{"id": 0, "kind": "input"}, {"id": 1, "kind": "affine"},
+                   {"id": 2, "kind": "sum", "weights": [float("nan"), 0.8]}],
+         "edges": [[0, 1], [0, 2], [1, 2]], "output": 2},
+    ], ids=["top-level-list", "node-without-kind", "edge-to-missing-node", "edge-not-a-pair",
+            "null-id", "null-output", "null-edge-endpoint", "scalar-weights",
+            "fractional-id", "nan-weights"])
     def test_malformed_file_graph_gives_envelope(self, capsys, tmp_path, doc):
         path = tmp_path / "g.json"
         path.write_text(json.dumps(doc))
@@ -277,12 +297,131 @@ class TestValidateGraphCommand:
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "GraphValidationError"
 
+    @pytest.mark.parametrize("command", [
+        ["validate-graph"], ["cmap", "--activation", "relu", "--points", "3"],
+    ])
+    def test_nan_sum_weights_rejected(self, capsys, tmp_path, command):
+        # NaN weights used to pass the normalisation check: `valid: true`
+        # from validate-graph and NaN rows with exit 0 from cmap
+        doc = {"nodes": [{"id": 0, "kind": "input"}, {"id": 1, "kind": "nonlinear"},
+                         {"id": 2, "kind": "sum", "weights": [0.6, float("nan")]}],
+               "edges": [[0, 1], [0, 2], [1, 2]], "output": 2}
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(command + ["--graph", f"file:{path}"], capsys)
+        assert code == 1 and out == ""
+        assert "unnormalized sum" in json.loads(err)["message"]
+
     def test_missing_file_fails(self, capsys):
         code, _, err = invoke(
             ["validate-graph", "--graph", "file:/nonexistent.json"], capsys
         )
         assert code == 1
         assert json.loads(err)["error"]
+
+
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 60), st.integers(10**20, 10**400),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=3),
+    st.lists(st.floats(-2, 2), max_size=3), st.just({}),
+)
+
+
+@st.composite
+def graph_docs(draw):
+    """A random JSON graph description of up to 40 nodes and whether it was
+    left valid: a DAG of affine, nonlinear and 2- or 3-input sum nodes with
+    shuffled ids, whose dangling nodes feed one final sum, and then maybe
+    one random corruption."""
+    n = draw(st.one_of(st.integers(1, 10), st.integers(11, 36)))
+    kinds, preds, weights = ["input"], [[]], [None]
+    for i in range(1, n):
+        kind = draw(st.sampled_from(["affine", "nonlinear", "sum"] if i >= 2
+                                    else ["affine", "nonlinear"]))
+        if kind == "sum":
+            ps = draw(st.lists(st.integers(0, i - 1), min_size=2,
+                               max_size=min(3, i), unique=True))
+            raw = [draw(st.floats(0.1, 1.0)) * draw(st.sampled_from([1, -1])) for _ in ps]
+            norm = math.sqrt(sum(w * w for w in raw))
+            ws = [w / norm for w in raw]
+        else:
+            ps, ws = [draw(st.integers(max(0, i - 4), i - 1))], None
+        kinds.append(kind)
+        preds.append(ps)
+        weights.append(ws)
+    dangling = sorted(set(range(n)) - {p for ps in preds for p in ps})
+    if len(dangling) > 1:
+        kinds.append("sum")
+        preds.append(dangling)
+        weights.append([1 / math.sqrt(len(dangling))] * len(dangling))
+    ids = draw(st.permutations(range(len(kinds))))
+    nodes = []
+    for i, kind in enumerate(kinds):
+        node = {"id": ids[i], "kind": kind}
+        if weights[i] is not None:
+            node["weights"] = weights[i]
+        nodes.append(node)
+    edges = [[ids[p], ids[i]] for i, ps in enumerate(preds) for p in ps]
+    doc = {"nodes": nodes, "edges": edges, "output": ids[-1]}
+
+    corruption = draw(st.sampled_from(
+        [None, "node-field", "drop-node-field", "edge-end", "add-edge", "drop-edge",
+         "output", "drop-field", "top-level"])) if draw(st.booleans()) else None
+    if corruption == "node-field":
+        node = draw(st.sampled_from(nodes))
+        node[draw(st.sampled_from(["id", "kind", "weights"]))] = draw(_JSON_VALUES)
+    elif corruption == "drop-node-field":
+        draw(st.sampled_from(nodes)).pop(draw(st.sampled_from(["id", "kind", "weights"])), None)
+    elif corruption == "edge-end" and edges:
+        draw(st.sampled_from(edges))[draw(st.integers(0, 1))] = draw(_JSON_VALUES)
+    elif corruption == "add-edge":
+        edges.append([draw(st.integers(-1, len(kinds))), draw(st.integers(-1, len(kinds)))])
+    elif corruption == "drop-edge" and edges:
+        edges.pop(draw(st.integers(0, len(edges) - 1)))
+    elif corruption == "output":
+        doc["output"] = draw(_JSON_VALUES)
+    elif corruption == "drop-field":
+        doc.pop(draw(st.sampled_from(["nodes", "edges", "output"])))
+    elif corruption == "top-level":
+        doc = draw(_JSON_VALUES)
+    return doc, corruption is None
+
+
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestGraphFuzz:
+    @settings(derandomize=True, deadline=None)
+    @given(graph_docs())
+    def test_random_graph_files(self, case):
+        import test_netgraph as tn
+
+        doc, valid = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "g.json")
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            for argv in (["validate-graph"],
+                         ["solve", "--method", "tat-lrelu", "--eta", "0.2"]):
+                code, _, err = _run_captured(argv + ["--graph", f"file:{path}"])
+                assert code in (0, 1, 2)
+                if code == 1:
+                    assert set(json.loads(err)) == {"error", "message", "context"}
+                if valid and argv[0] == "validate-graph":
+                    assert code == 0
+        try:
+            g = graph_from_dict(doc)
+        except GraphValidationError:
+            assert not valid
+            return
+        if g.num_nodes <= 12:
+            assert tn.candidate_set(g) <= set(tn.oracle_subnetworks(g))
+            for r in (lambda v: 1.0 + v, lambda v: lrelu_c_map(0.3, v)):
+                assert eval_M(g, r, 0.0) == tn.oracle_max(g, r, 0.0)
 
 
 class TestUsageErrors:

@@ -1,6 +1,8 @@
 """Tests for graph construction, validation, and generalized map evaluation."""
 
+import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
@@ -134,6 +136,22 @@ def random_small_graph(rng, max_nodes=12):
     return g
 
 
+def graph_to_dict(g):
+    """The JSON graph description of g."""
+    nodes = []
+    for n in g.nodes:
+        node = {"id": n.id, "kind": n.kind}
+        if n.weights is not None:
+            node["weights"] = list(n.weights)
+        nodes.append(node)
+    edges = [[p, nid] for nid, ps in enumerate(g.preds) for p in ps]
+    return {"nodes": nodes, "edges": edges, "output": g.output}
+
+
+def candidate_set(g):
+    return {(ref.entry, ref.exit, ref.members) for ref in enumerate_maximal_subnetworks(g)}
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -260,11 +278,94 @@ class TestSubnetworks:
             }
             assert got == set(oracle_subnetworks(g))
 
-    def test_exhaustive_limit_enforced(self):
-        g = build_vanilla(20)
-        bare = NetworkGraph(g.nodes, g.preds, g.output)  # family stripped
-        with pytest.raises(GraphValidationError):
-            enumerate_maximal_subnetworks(bare)
+    def test_json_graphs_above_sixteen_nodes_match_builders(self, tmp_path, capsys):
+        # written as JSON, a 20-layer chain (41 nodes) and a resnet with
+        # transitions (53 nodes) give the candidates, M and solve output of
+        # the builder specs
+        from qcmap.cli import run
+
+        rules = [lambda c: lrelu_c_map(0.3, c), lambda x: 1.0 + x]
+        for spec, built in (
+            ("vanilla:20", build_vanilla(20)),
+            ("resnet:6:0.5:transitions",
+             build_rescaled_resnet(6, 0.5, with_transitions=True, final_nonlinear=True)),
+        ):
+            path = tmp_path / "g.json"
+            path.write_text(json.dumps(graph_to_dict(built)))
+            loaded = netgraph.load_graph_json(path)
+            assert loaded.num_nodes > 16
+            assert candidate_set(loaded) == candidate_set(built)
+            for r in rules:
+                assert eval_M(loaded, r, 0.0) == eval_M(built, r, 0.0)
+            outputs = []
+            for graph in (spec, f"file:{path}"):
+                assert run(["solve", "--method", "tat-lrelu", "--eta", "0.4",
+                            "--graph", graph]) == 0
+                outputs.append(capsys.readouterr().out)
+            assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("depth", [1, 2, 10, 57, 200])
+    def test_vanilla_candidates_pinned(self, depth):
+        g = build_vanilla(depth)
+        assert candidate_set(g) == {(0, g.output, frozenset(range(g.num_nodes)))}
+
+    @pytest.mark.parametrize("blocks", [5, 13, 25, 50])
+    @pytest.mark.parametrize("w", [0.3, 0.95])
+    @pytest.mark.parametrize("transitions", [False, True])
+    def test_resnet_candidates_pinned(self, blocks, w, transitions):
+        # the whole network, the first block's 3-layer branch and, with
+        # transitions, the first 1-layer shortcut
+        g = build_rescaled_resnet(blocks, w, with_transitions=transitions,
+                                  final_nonlinear=transitions)
+        want = {(0, g.output, frozenset(range(g.num_nodes))),
+                (1, 6, frozenset(range(1, 7)))}
+        if transitions:
+            want.add((7, 8, frozenset({7, 8})))
+        assert candidate_set(g) == want
+
+    def test_candidates_are_oracle_subnetworks(self):
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            g = random_small_graph(rng)
+            assert candidate_set(g) <= set(oracle_subnetworks(g))
+
+    def test_sum_is_never_an_entry(self):
+        # node 3 sums 1 and 2 and is dominated only by 1, which 3 does not
+        # post-dominate (1 also feeds 5): {3, 4} is no subnetwork; {4} is,
+        # with the shape of {2}
+        s = math.sqrt(0.5)
+        nodes = (Node(0, INPUT), Node(1, NONLINEAR), Node(2, NONLINEAR), Node(3, SUM, (s, s)),
+                 Node(4, NONLINEAR), Node(5, AFFINE), Node(6, SUM, (s, s)))
+        g = NetworkGraph(nodes, ((), (0,), (1,), (1, 2), (3,), (1,), (4, 5)), 6)
+        assert candidate_set(g) == {
+            (0, 6, frozenset(range(7))), (2, 2, frozenset({2})), (5, 5, frozenset({5}))
+        }
+
+    def test_equal_topology_with_other_weights_is_another_shape(self):
+        # two residual blocks whose branches hold an inner sum: same wiring,
+        # different inner weights, so both branches stay candidates (next to
+        # the whole graph and the inner 1-layer branch)
+        nodes, preds = [Node(0, INPUT)], [()]
+
+        def add(kind, ps, weights=None):
+            nodes.append(Node(len(nodes), kind, weights))
+            preds.append(ps)
+            return len(nodes) - 1
+
+        entry = 0
+        for w in (0.99, 0.6):
+            n1 = add(NONLINEAR, (add(AFFINE, (entry,)),))
+            n2 = add(NONLINEAR, (add(AFFINE, (n1,)),))
+            inner = add(SUM, (n1, n2), (w, math.sqrt(1 - w * w)))
+            entry = add(SUM, (entry, inner), (0.95, math.sqrt(1 - 0.95 ** 2)))
+        g = NetworkGraph(tuple(nodes), tuple(preds), entry)
+        assert len(candidate_set(g)) == 4
+        for r in (lambda x: 1.0 + x, lambda c: lrelu_c_map(0.3, c)):
+            assert eval_M(g, r, 0.0) == oracle_max(g, r, 0.0)
+
+    def test_graph_has_only_structure_fields(self):
+        names = [f.name for f in dataclasses.fields(NetworkGraph)]
+        assert names == ["nodes", "preds", "output"]
 
 
 class TestEvalU:
@@ -380,9 +481,7 @@ class TestEvalM:
             g = random_small_graph(rng)
             assert eval_M(g, r, 0.0) == oracle_max(g, r, 0.0)
 
-    def test_family_stripped_resnet_gives_same_m(self):
-        # builder metadata only shortcuts the candidate search: the
-        # exhaustive search on the bare graph must reach the same maximum
+    def test_resnet_m_equals_oracle(self):
         rules = [lambda c, a=a: lrelu_c_map(a, c) for a in (0.0, 0.2, 0.6)]
         rules += [lambda x: 0.3 + x, lambda x: 1.07 * x]
         for g in (
@@ -390,11 +489,9 @@ class TestEvalM:
             build_rescaled_resnet(3, 0.3, branch_nonlinear_count=1),
             build_rescaled_resnet(5, 0.9, branch_nonlinear_count=1),
         ):
-            assert g.num_nodes <= netgraph.EXHAUSTIVE_NODE_LIMIT
-            bare = NetworkGraph(g.nodes, g.preds, g.output)
             for r in rules:
                 for x in (0.0, 0.5, 1.0):
-                    assert eval_M(bare, r, x) == eval_M(g, r, x)
+                    assert eval_M(g, r, x) == oracle_max(g, r, x)
 
     def test_mu0_strictly_decreasing_in_alpha(self):
         g = build_vanilla(12)
@@ -443,6 +540,44 @@ class TestJsonGraphs:
                 graph_from_dict(
                     {"nodes": self.CHAIN, "edges": [[0, 1], [1, 2], edge], "output": 2}
                 )
+
+    @pytest.mark.parametrize("field, value", [
+        ("id", None), ("output", None), ("endpoint", None),
+        ("id", 1.7), ("output", 2.5), ("endpoint", 0.5), ("id", True), ("id", "1"),
+    ])
+    def test_non_integer_index_rejected(self, field, value):
+        nodes = [dict(n) for n in self.CHAIN]
+        edges, output = [[0, 1], [1, 2]], 2
+        if field == "id":
+            nodes[1]["id"] = value
+        elif field == "output":
+            output = value
+        else:
+            edges[1][0] = value
+        with pytest.raises(GraphValidationError, match="must be an integer"):
+            graph_from_dict({"nodes": nodes, "edges": edges, "output": output})
+
+    @pytest.mark.parametrize("weights", [5, "0.6", [0.6, None], [0.6, "x"], [10**400, 0.0]])
+    def test_malformed_weights_rejected(self, weights):
+        nodes = self.CHAIN + [{"id": 3, "kind": "sum", "weights": weights}]
+        with pytest.raises(GraphValidationError, match="weights must be a list"):
+            graph_from_dict({"nodes": nodes, "edges": [[0, 1], [1, 2], [0, 3], [2, 3]],
+                             "output": 3})
+
+    @pytest.mark.parametrize("weights", [[math.nan, 0.8], [math.nan, math.nan],
+                                         [math.inf, 0.0]])
+    def test_non_finite_sum_weights_rejected(self, weights):
+        nodes = self.CHAIN + [{"id": 3, "kind": "sum", "weights": weights}]
+        with pytest.raises(GraphValidationError, match="unnormalized sum"):
+            graph_from_dict({"nodes": nodes, "edges": [[0, 1], [1, 2], [0, 3], [2, 3]],
+                             "output": 3})
+
+    def test_integral_float_index_and_null_weights_accepted(self):
+        nodes = [dict(n) for n in self.CHAIN]
+        nodes[1]["id"] = 1.0
+        nodes[2]["weights"] = None
+        g = graph_from_dict({"nodes": nodes, "edges": [[0, 1.0], [1, 2]], "output": 2.0})
+        assert g.output == 2 and g.preds == ((), (0,), (1,))
 
     def test_edge_not_a_pair_rejected(self):
         for edge in ([0, 1, 2], [1], 5, "01"):
