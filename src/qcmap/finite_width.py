@@ -140,20 +140,44 @@ def propagate_pair(
     return stats
 
 
-def _apply_fresh_suo(x: np.ndarray, rng) -> np.ndarray:
-    """Action of a fresh square SUO matrix on x, without materializing it.
+def _fresh_layer(x: np.ndarray, scheme: InitScheme, rng) -> np.ndarray:
+    """Pre-activation W x for a fresh square weight matrix W, in law.
 
-    For Haar-orthogonal U and x = Q R, the product U x equals V R with V
-    drawn uniformly from the Stiefel manifold of the same shape as Q; when x
-    has far fewer columns than rows this costs two thin QRs instead of a
-    full-size one.  The result matches sampling U explicitly in
-    distribution (exactly, not approximately).
+    The columns of x are the n propagated vectors.  Only their Gram matrix
+    x^T x = R_x^T R_x matters, so while n <= 2 width / 3 no width x width
+    matrix is drawn:
+
+    - Gaussian fan-in: the rows of W x are iid N(0, x^T x / width), exactly
+      the law of G R_x with G a width x n matrix of iid N(0, 1/width).
+    - SUO: U x = (U Q_x) R_x, and U Q_x is Haar on the Stiefel manifold,
+      exactly the law of G R_G^-1 for a standard normal G with
+      G^T G = R_G^T R_G (Cholesky QR; R_G has a positive diagonal).
+
+    The Gram route costs about 3 width n^2 flops against 2 width^2 n for
+    the explicit product, hence the bound on n.  Larger n, or a singular or
+    non-finite Gram matrix, takes the explicit path: W from
+    sample_weight_matrix, then the product.
     """
-    q_x, r_x = np.linalg.qr(x)
-    g = rng.normal(size=q_x.shape)
-    v, r = np.linalg.qr(g)
-    v = v * np.sign(np.diag(r))
-    return v @ r_x
+    width, n = x.shape
+    if 3 * n <= 2 * width:
+        try:
+            r_x = _cholesky_factor(x.T @ x)
+            g = rng.standard_normal((width, n))
+            if scheme is InitScheme.SUO:
+                return g @ np.linalg.solve(_cholesky_factor(g.T @ g), r_x)
+            return g @ (r_x / math.sqrt(width))
+        except np.linalg.LinAlgError:
+            pass
+    return sample_weight_matrix(scheme, width, width, rng) @ x
+
+
+def _cholesky_factor(gram: np.ndarray) -> np.ndarray:
+    """Upper-triangular R with R^T R = gram; LinAlgError unless finite and
+    positive definite."""
+    r = np.linalg.cholesky(gram).T
+    if not np.isfinite(r).all():
+        raise np.linalg.LinAlgError("non-finite Gram matrix")
+    return r
 
 
 def run_simulation(config: SimConfig, act: Activation, scheme: InitScheme) -> EmpiricalTrace:
@@ -175,11 +199,7 @@ def run_simulation(config: SimConfig, act: Activation, scheme: InitScheme) -> Em
         x = np.stack(pairs_x, axis=1)  # width x (2 * pairs)
         _record_layer(x, all_c, all_q, trial, 0)
         for layer in range(1, depth + 1):
-            if scheme is InitScheme.SUO:
-                x = act.value(_apply_fresh_suo(x, rng))
-            else:
-                w = sample_weight_matrix(scheme, config.width, x.shape[0], rng)
-                x = act.value(w @ x)
+            x = act.value(_fresh_layer(x, scheme, rng))
             _record_layer(x, all_c, all_q, trial, layer)
     flat_c = all_c.reshape(-1, depth + 1)
     flat_q = all_q.reshape(-1, depth + 1)

@@ -54,8 +54,9 @@ _MAX_PANEL_WIDTH = 12.0
 # coefficients to ~1e-13 up to degree ~150-165 (tanh and softplus at input
 # scales up to 3, against 240-point panels); what remains is reported
 _HERMITE_CAP = 150
-# the series stops once the remaining mass falls below this fraction of
-# E[phi^2], about ten times the rounding floor of the running sum
+# the series stops once the mass the remaining terms up to the cap could
+# still add falls below this fraction of E[phi^2]; the dropped terms then
+# move the map by at most this much (Cauchy-Schwarz)
 _HERMITE_RTOL = 1e-14
 
 
@@ -430,8 +431,11 @@ def kernel_map(params: LocalMapParams, q1: float = 1.0, q2: float = 1.0) -> Kern
     a2, m2, r2 = (a1, m1, r1) if q2 == q1 else _hermite_coefficients(
         phi, math.sqrt(q2), order
     )
-    done = (r1 <= _HERMITE_RTOL * m1) & (r2 <= _HERMITE_RTOL * m2)
-    n = int(np.argmax(done)) if done.any() else _HERMITE_CAP
+    # measured against the tail left at the cap (floored at 0), so a tail
+    # that levels off at the rounding floor of the running sum stops there
+    done = ((r1 - max(r1[-1], 0.0) <= _HERMITE_RTOL * m1)
+            & (r2 - max(r2[-1], 0.0) <= _HERMITE_RTOL * m2))
+    n = int(np.argmax(done))
     denom = math.sqrt((sw2 * m1 + sb2) * (sw2 * m2 + sb2))
     coef = sw2 * a1[: n + 1] * a2[: n + 1] / denom
     coef[0] += sb2 / denom

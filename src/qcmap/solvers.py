@@ -27,7 +27,7 @@ from .kernel_maps import (
     local_q,
     lrelu_c_map,
 )
-from .netgraph import NetworkGraph, eval_M, validate_graph
+from .netgraph import NetworkGraph, eval_M
 
 __all__ = [
     "TatLreluSolution",
@@ -226,14 +226,14 @@ def solve_tat_lrelu(
     """Negative slope alpha with the maximal c-value at 0 equal to eta.
 
     Bisection on alpha in [0, 1]; the maximal c-value is strictly decreasing
-    in alpha and vanishes at alpha = 1.
+    in alpha and vanishes at alpha = 1.  eta is checked before the graph,
+    which eval_M validates when it compiles it.
     """
-    validate_graph(g)
-    if g.nonlinear_count() < 1:
-        raise ValueError("graph has no nonlinear node")
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must lie strictly inside (0, 1), got {eta}")
     max_eta = max_c_value(g, 0.0)
+    if g.nonlinear_count() < 1:
+        raise ValueError("graph has no nonlinear node")
     if eta > max_eta:
         raise UnattainableTargetError(
             f"unattainable target; max C_f(0)={max_eta:.10g} < eta={eta}",
@@ -308,7 +308,6 @@ def solve_tat_smooth(
         )
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    validate_graph(g)
     rule = rule or default_rule()
     m = eval_M(g, lambda x: 1.0 + x, 0.0)  # curvature rule with C''(1) = 1
     target = tau / m
@@ -349,7 +348,6 @@ def solve_dks(
         )
     if not zeta > 1.0:
         raise ValueError(f"zeta must exceed 1, got {zeta}")
-    validate_graph(g)
     rule = rule or default_rule()
 
     def slope_residual(m: float) -> float:
@@ -426,11 +424,19 @@ def solve_eoc_smooth(
 
     The fixed point is reached by iteration from q = 1; the outer search
     bisects sigma_w.  At the fixed point Q(q*) = q*, so the slope condition
-    reduces to sigma_w^2 E[phi'(sqrt(q*) z)^2] = 1.
+    reduces to sigma_w^2 E[phi'(sqrt(q*) z)^2] = 1.  An affine base (phi''
+    = 0) has no isolated edge: at its sigma_w every q is a fixed point
+    (sigma_b = 0) or none is (sigma_b > 0), so it is refused.
     """
     if not base.smooth:
         raise UnsupportedDerivativeError("EOC solve only covers smooth activations")
     rule = rule or default_rule()
+    if not rule.expect(lambda z: base.deriv2(z) ** 2, kinks=(0.0,)) > 0.0:
+        raise UnattainableTargetError(
+            "no isolated edge-of-chaos point for an affine activation: where "
+            "sigma_w^2 E[phi'^2] = 1 every q is a fixed point (sigma_b = 0) "
+            "or none is (sigma_b > 0)"
+        )
 
     def chi(sigma_w: float) -> float:
         params = LocalMapParams(base, sigma_w=sigma_w, sigma_b=sigma_b)

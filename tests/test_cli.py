@@ -45,6 +45,16 @@ class TestSolveCommand:
             c = lrelu_c_map(alpha, c)
         assert c == pytest.approx(0.5, abs=1e-6)
 
+    @pytest.mark.parametrize("extra", [[], ["--sigma-b", "0.3"]])
+    def test_eoc_identity_refused(self, capsys, extra):
+        code, out, err = invoke(
+            ["solve", "--method", "eoc", "--activation", "identity"] + extra, capsys
+        )
+        assert code == 1 and out == ""
+        envelope = json.loads(err)
+        assert envelope["error"] == "unattainable-target"
+        assert "affine" in envelope["message"]
+
     def test_eoc_lrelu_closed_form(self, capsys):
         code, out, _ = invoke(
             ["solve", "--method", "eoc", "--activation", "relu"], capsys
@@ -292,6 +302,21 @@ class TestValidateGraphCommand:
         path.write_text(json.dumps(doc))
         code, out, err = invoke(
             ["solve", "--method", "tat-lrelu", "--eta", "0.5", "--graph", f"file:{path}"],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "GraphValidationError"
+
+    def test_invalid_file_graph_reported_before_bad_eta(self, capsys, tmp_path):
+        # the CLI loads (and validates) the graph before the solver sees eta
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(
+            {"nodes": [{"id": 0, "kind": "input"}, {"id": 1, "kind": "affine"},
+                       {"id": 2, "kind": "nonlinear"},
+                       {"id": 3, "kind": "sum", "weights": [0.5, 0.5]}],
+             "edges": [[0, 1], [1, 2], [0, 3], [2, 3]], "output": 3}))
+        code, out, err = invoke(
+            ["solve", "--method", "tat-lrelu", "--eta", "1.5", "--graph", f"file:{path}"],
             capsys,
         )
         assert code == 1 and out == ""

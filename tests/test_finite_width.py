@@ -28,7 +28,7 @@ from qcmap import (
     sample_weight_matrix,
     theory_trace,
 )
-from qcmap.finite_width import _apply_fresh_suo
+from qcmap.finite_width import _fresh_layer
 
 
 RNG = lambda s=0: np.random.default_rng(s)
@@ -72,23 +72,98 @@ class TestSampleWeightMatrix:
         assert np.array_equal(a, b)
 
 
-class TestApplyFreshSuo:
-    def test_matches_explicit_multiply_in_law(self):
+class TestFreshLayer:
+    def test_suo_matches_explicit_multiply_in_law(self):
         # exact invariants: norms and pairwise inner products preserved
         x = RNG(8).normal(size=(50, 6))
-        y = _apply_fresh_suo(x, RNG(9))
+        y = _fresh_layer(x, InitScheme.SUO, RNG(9))
         assert np.max(np.abs(x.T @ x - y.T @ y)) <= 1e-10
 
-    def test_marginal_is_isotropic(self):
+    def test_suo_marginal_is_isotropic(self):
         # a fixed unit vector maps to a uniformly random unit vector: its
         # first coordinate has mean 0 and variance 1/n
         n, reps = 25, 4000
         rng = RNG(10)
         e = np.zeros((n, 1))
         e[0, 0] = 1.0
-        firsts = np.array([_apply_fresh_suo(e, rng)[0, 0] for _ in range(reps)])
+        firsts = np.array([_fresh_layer(e, InitScheme.SUO, rng)[0, 0] for _ in range(reps)])
         assert firsts.mean() == pytest.approx(0.0, abs=0.02)
         assert firsts.var() == pytest.approx(1.0 / n, rel=0.15)
+
+    def test_suo_preserves_gram_to_rounding(self):
+        x = RNG(16).normal(size=(400, 40))
+        h = _fresh_layer(x, InitScheme.SUO, RNG(17))
+        gram = x.T @ x
+        assert np.max(np.abs(h.T @ h - gram)) <= 1e-12 * np.max(np.abs(gram))
+
+    def test_gaussian_row_covariance_matches_explicit(self):
+        # rows of W x are iid N(0, x^T x / width); the Gram-space draw and
+        # explicit sample_weight_matrix draws must agree on that covariance
+        width, reps = 40, 3000
+        x = RNG(18).normal(size=(width, 3))
+        rng_fast, rng_explicit = RNG(19), RNG(20)
+        fast = np.concatenate(
+            [_fresh_layer(x, InitScheme.GAUSSIAN_FAN_IN, rng_fast) for _ in range(reps)]
+        )
+        explicit = np.concatenate([
+            sample_weight_matrix(InitScheme.GAUSSIAN_FAN_IN, width, width, rng_explicit) @ x
+            for _ in range(reps)
+        ])
+        want = x.T @ x / width
+        scale = np.max(np.abs(want))
+        for rows in (fast, explicit):
+            assert np.max(np.abs(rows.mean(axis=0))) <= 0.02 * math.sqrt(scale)
+            assert np.max(np.abs(rows.T @ rows / rows.shape[0] - want)) <= 0.03 * scale
+        cov_fast = fast.T @ fast / fast.shape[0]
+        cov_explicit = explicit.T @ explicit / explicit.shape[0]
+        assert np.max(np.abs(cov_fast - cov_explicit)) <= 0.04 * scale
+
+    def test_narrow_suo_matches_explicit_haar_in_law(self):
+        # more vectors than the width: an explicit Haar U multiplies x.  Its
+        # first row is uniform on the sphere, which fixes the second moments
+        # x^T x / m and the fourth moment 3 |x_j|^4 / (m (m + 2)) of each
+        # coordinate (a Gaussian row would give 3 |x_j|^4 / m^2)
+        m, n, reps = 8, 12, 8000
+        x = RNG(21).normal(size=(m, n))
+        rng_fast, rng_explicit = RNG(22), RNG(23)
+        h = _fresh_layer(x, InitScheme.SUO, rng_fast)
+        assert np.max(np.abs(h.T @ h - x.T @ x)) <= 1e-10
+        fast = np.array([_fresh_layer(x, InitScheme.SUO, rng_fast)[0] for _ in range(reps)])
+        explicit = np.array([
+            (sample_weight_matrix(InitScheme.SUO, m, m, rng_explicit) @ x)[0]
+            for _ in range(reps)
+        ])
+        sq = np.sum(x * x, axis=0)
+        for rows in (fast, explicit):
+            second = rows.T @ rows / reps
+            assert np.max(np.abs(second - x.T @ x / m)) <= 0.06 * np.max(sq) / m
+            fourth = np.mean(rows**4, axis=0)
+            assert fourth == pytest.approx(3.0 * sq**2 / (m * (m + 2)), rel=0.12)
+
+    def test_many_vectors_take_the_explicit_gaussian_draw(self):
+        # past 2 width / 3 vectors the layer is the explicit product, with
+        # the same random stream as sample_weight_matrix
+        for n in (21, 30, 45):
+            x = RNG(27).normal(size=(30, n))
+            want = sample_weight_matrix(InitScheme.GAUSSIAN_FAN_IN, 30, 30, RNG(28)) @ x
+            assert np.array_equal(_fresh_layer(x, InitScheme.GAUSSIAN_FAN_IN, RNG(28)), want)
+
+    @pytest.mark.parametrize("scheme", list(InitScheme))
+    def test_singular_gram_falls_back(self, scheme):
+        # a zero column makes the Gram matrix singular, so Cholesky raises
+        # and the explicit product runs: the zero column stays exactly zero
+        x = RNG(24).normal(size=(30, 4))
+        x[:, 2] = 0.0
+        h = _fresh_layer(x, scheme, RNG(25))
+        assert np.isfinite(h).all()
+        assert np.array_equal(h[:, 2], np.zeros(30))
+        # equal inputs (c0 = 1) duplicate every column of a wide layer
+        cfg = SimConfig(width=64, depth=5, trials=2, pairs_per_trial=8, seed=26,
+                        initial_c=1.0)
+        trace = run_simulation(cfg, TReLU(0.2), scheme)
+        assert np.isfinite(trace.mean_c).all() and np.isfinite(trace.mean_q).all()
+        assert np.max(np.abs(trace.mean_c - 1.0)) <= 1e-12
+        assert np.max(trace.std_c) <= 1e-12
 
 
 class TestMakeInputPair:

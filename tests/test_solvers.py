@@ -15,14 +15,18 @@ import pytest
 
 from qcmap import (
     BracketError,
+    GraphValidationError,
     Identity,
     LocalMapParams,
+    NetworkGraph,
+    Node,
     QuadratureRule,
     ReLU,
     SoftPlus,
     SolverFailure,
     Tanh,
     TReLU,
+    TransformedActivation,
     UnattainableTargetError,
     UnsupportedDerivativeError,
     bisect,
@@ -39,6 +43,7 @@ from qcmap import (
     solve_tat_lrelu,
     solve_tat_smooth,
 )
+from qcmap.netgraph import AFFINE, INPUT, NONLINEAR, SUM
 from qcmap.solvers import max_c_value
 
 RULE = default_rule()
@@ -152,6 +157,21 @@ class TestSolveTatLrelu:
         g = build_vanilla(7)
         assert solve_tat_lrelu(g, 0.6) == solve_tat_lrelu(g, 0.6)
 
+    def test_invalid_graph_reported_after_eta(self):
+        # the graph is validated once, when eval_M compiles it, so a bad
+        # eta is reported first and a good one reaches the graph error
+        nodes = (Node(0, INPUT), Node(1, AFFINE), Node(2, NONLINEAR),
+                 Node(3, SUM, (0.5, 0.5)))
+        g = NetworkGraph(nodes, ((), (0,), (1,), (0, 2)), 3)
+        with pytest.raises(ValueError, match="eta must lie"):
+            solve_tat_lrelu(g, 1.5)
+        with pytest.raises(GraphValidationError, match="unnormalized sum"):
+            solve_tat_lrelu(g, 0.5)
+        with pytest.raises(GraphValidationError, match="unnormalized sum"):
+            solve_tat_smooth(g, Tanh(), 0.3)
+        with pytest.raises(GraphValidationError, match="unnormalized sum"):
+            solve_dks(g, SoftPlus(), 1.5)
+
 
 def transformed_stats(sol, order=120):
     rule = QuadratureRule.gauss_hermite(order)
@@ -250,9 +270,13 @@ class TestSolveEocSmooth:
         )
         assert chi == pytest.approx(1.0, abs=1e-8)
 
-    def test_identity_edge_at_unit_weight_variance(self):
-        sol = solve_eoc_smooth(Identity(), sigma_b=0.0)
-        assert sol.sigma_w == pytest.approx(1.0, abs=1e-3)
+    @pytest.mark.parametrize("base", [Identity(), TransformedActivation(Identity(), 2.0, 0.5)])
+    @pytest.mark.parametrize("sigma_b", [0.0, 0.3])
+    def test_affine_base_has_no_isolated_edge(self, base, sigma_b):
+        # chi = sigma_w^2 E[phi'^2] is 1 for any q at one sigma_w, where the
+        # q map is q -> q + sigma_b^2: no fixed point or a continuum of them
+        with pytest.raises(UnattainableTargetError, match="affine"):
+            solve_eoc_smooth(base, sigma_b=sigma_b)
 
     def test_non_smooth_base_rejected(self):
         with pytest.raises(UnsupportedDerivativeError):
