@@ -121,15 +121,13 @@ def main(argv=None) -> int:
     p.add_argument("--parent", default="HEAD~1")
     p.add_argument("--change", default="HEAD")
     p.add_argument("--seeds", default="301-310", help="one seed per pair, e.g. 301-310")
-    p.add_argument("--workloads", nargs="+", default=None,
-                   help="default: the workloads BENCHMARK.json lists")
     p.add_argument("--out", required=True)
     p.add_argument("--tier1", action="store_true")
     args = p.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
+    workloads = [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]
     seeds = parse_seeds(args.seeds)
 
