@@ -154,20 +154,25 @@ def _fresh_layer(x: np.ndarray, scheme: InitScheme, rng) -> np.ndarray:
       G^T G = R_G^T R_G (Cholesky QR; R_G has a positive diagonal).
 
     The Gram route costs about 3 width n^2 flops against 2 width^2 n for
-    the explicit product, hence the bound on n.  Larger n, or a singular or
-    non-finite Gram matrix, takes the explicit path: W from
-    sample_weight_matrix, then the product.
+    the explicit product, hence the bound on n; larger n takes the explicit
+    path: W from sample_weight_matrix, then the product.  Any R_x with
+    R_x^T R_x = x^T x gives the same law, so a singular Gram matrix (equal
+    or opposite columns, as with c0 = +-1) takes R_x from a Householder QR
+    of x, which accepts rank-deficient x, instead of Cholesky.
     """
     width, n = x.shape
     if 3 * n <= 2 * width:
         try:
             r_x = _cholesky_factor(x.T @ x)
-            g = rng.standard_normal((width, n))
-            if scheme is InitScheme.SUO:
-                return g @ np.linalg.solve(_cholesky_factor(g.T @ g), r_x)
-            return g @ (r_x / math.sqrt(width))
         except np.linalg.LinAlgError:
-            pass
+            r_x = np.linalg.qr(x, mode="r")
+        g = rng.standard_normal((width, n))
+        if scheme is InitScheme.GAUSSIAN_FAN_IN:
+            return g @ (r_x / math.sqrt(width))
+        try:
+            return g @ np.linalg.solve(_cholesky_factor(g.T @ g), r_x)
+        except np.linalg.LinAlgError:
+            pass  # a rank-deficient normal draw: probability zero
     return sample_weight_matrix(scheme, width, width, rng) @ x
 
 

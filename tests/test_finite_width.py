@@ -19,6 +19,7 @@ from qcmap import (
     Identity,
     InitScheme,
     SimConfig,
+    Tanh,
     TReLU,
     compare_to_theory,
     lrelu_c_map,
@@ -28,6 +29,7 @@ from qcmap import (
     sample_weight_matrix,
     theory_trace,
 )
+from qcmap import finite_width
 from qcmap.finite_width import _fresh_layer
 
 
@@ -90,17 +92,24 @@ class TestFreshLayer:
         assert firsts.mean() == pytest.approx(0.0, abs=0.02)
         assert firsts.var() == pytest.approx(1.0 / n, rel=0.15)
 
-    def test_suo_preserves_gram_to_rounding(self):
+    @pytest.mark.parametrize("singular", [False, True])
+    def test_suo_preserves_gram_to_rounding(self, singular):
         x = RNG(16).normal(size=(400, 40))
+        if singular:
+            # equal and opposite columns: R_x comes from a QR of x
+            x[:, 1], x[:, 3] = x[:, 0], -x[:, 2]
         h = _fresh_layer(x, InitScheme.SUO, RNG(17))
         gram = x.T @ x
         assert np.max(np.abs(h.T @ h - gram)) <= 1e-12 * np.max(np.abs(gram))
 
-    def test_gaussian_row_covariance_matches_explicit(self):
+    @pytest.mark.parametrize("singular", [False, True])
+    def test_gaussian_row_covariance_matches_explicit(self, singular):
         # rows of W x are iid N(0, x^T x / width); the Gram-space draw and
         # explicit sample_weight_matrix draws must agree on that covariance
         width, reps = 40, 3000
         x = RNG(18).normal(size=(width, 3))
+        if singular:
+            x[:, 2] = -x[:, 0]
         rng_fast, rng_explicit = RNG(19), RNG(20)
         fast = np.concatenate(
             [_fresh_layer(x, InitScheme.GAUSSIAN_FAN_IN, rng_fast) for _ in range(reps)]
@@ -151,7 +160,7 @@ class TestFreshLayer:
     @pytest.mark.parametrize("scheme", list(InitScheme))
     def test_singular_gram_falls_back(self, scheme):
         # a zero column makes the Gram matrix singular, so Cholesky raises
-        # and the explicit product runs: the zero column stays exactly zero
+        # and R_x comes from a QR of x: the zero column stays exactly zero
         x = RNG(24).normal(size=(30, 4))
         x[:, 2] = 0.0
         h = _fresh_layer(x, scheme, RNG(25))
@@ -164,6 +173,21 @@ class TestFreshLayer:
         assert np.isfinite(trace.mean_c).all() and np.isfinite(trace.mean_q).all()
         assert np.max(np.abs(trace.mean_c - 1.0)) <= 1e-12
         assert np.max(trace.std_c) <= 1e-12
+
+    @pytest.mark.parametrize("scheme", list(InitScheme))
+    @pytest.mark.parametrize("c0, act", [(1.0, TReLU(0.2)), (-1.0, Tanh())])
+    def test_singular_wide_layers_draw_no_square_matrix(self, monkeypatch, scheme, c0, act):
+        # c0 = 1, and c0 = -1 through an odd activation, keep the Gram
+        # matrix singular at every layer; the wide layers must still take
+        # the Gram route, not a width x width draw
+        def refuse(*args):
+            raise AssertionError("width x width weight matrix drawn")
+
+        monkeypatch.setattr(finite_width, "sample_weight_matrix", refuse)
+        cfg = SimConfig(width=300, depth=4, trials=2, pairs_per_trial=10, seed=29,
+                        initial_c=c0)
+        trace = run_simulation(cfg, act, scheme)
+        assert np.max(np.abs(trace.mean_c - c0)) <= 1e-12
 
 
 class TestMakeInputPair:

@@ -3,14 +3,14 @@
 Usage (from the root of a checkout):
 
     python3 tools/bench_record.py --parent HEAD~1 --change HEAD \
-        --seeds 301-310 --out BENCH_<n>.json [--tier1]
+        --seeds 301-310 --out BENCH_<n>.json
 
 Both revisions are exported with `git archive` into fresh directories under
 the system temp directory, and `perfbench/run.py --trace 0` runs there for
 each workload and seed: pair i runs the parent first when i is even and the
 change first when i is odd, with the same seed on both sides.  Each side
-then gets one traced run (seed 1) for the per-layer metrics.  With --tier1
-the change's tier-1 suite runs once with --durations=15.
+then gets one traced run (seed 1) for the per-layer metrics, and the
+change's tier-1 suite runs once with --durations=15.
 
 The only file written in the repository is --out:
     {git_sha, parent_sha, numpy, cores, seeds, seconds, workloads: {name:
@@ -122,7 +122,6 @@ def main(argv=None) -> int:
     p.add_argument("--change", default="HEAD")
     p.add_argument("--seeds", default="301-310", help="one seed per pair, e.g. 301-310")
     p.add_argument("--out", required=True)
-    p.add_argument("--tier1", action="store_true")
     args = p.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -166,8 +165,7 @@ def main(argv=None) -> int:
                 name: {side: traced[side].get(name, {}).get("value") for side in sides}
                 for name in traced["change"]
             }
-        if args.tier1:
-            record["tier1"] = tier1(sides["change"])
+        record["tier1"] = tier1(sides["change"])
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
