@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -173,7 +174,10 @@ def _cmd_validate_graph(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process:
+    parse_args never changes it and returns a fresh Namespace per call."""
     parser = argparse.ArgumentParser(
         prog="qcmap",
         description="Q/C map analysis and activation transformation solvers",

@@ -400,6 +400,20 @@ def _hermite_coefficients(phi: Activation, s: float, order: int):
     return a, mass, mass - np.cumsum(a * a)
 
 
+def _hermite_jet(phi: Activation, alpha: float, beta: float, order: int):
+    """Coefficients a_n of phi(alpha z + beta) and their alpha, beta derivatives.
+
+    Returns a (_HERMITE_CAP + 1, 3) array with columns a, da/dalpha and
+    da/dbeta: differentiating under the expectation, da/dalpha = B (x
+    phi'(alpha x + beta)) and da/dbeta = B phi'(alpha x + beta), with B the
+    weighted Hermite rows, so no finite differences and no phi'' are needed.
+    """
+    x, _, basis = _hermite_basis(order)
+    u = alpha * x + beta
+    d = phi.deriv1(u)
+    return basis @ np.stack([phi.value(u), x * d, d], axis=1)
+
+
 def kernel_map(params: LocalMapParams, q1: float = 1.0, q2: float = 1.0) -> KernelMap:
     """The local C map of local_c(params, rule, ., q1, q2) without 2-D quadrature.
 

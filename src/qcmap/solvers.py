@@ -1,7 +1,7 @@
 """Transformation solvers: TAT (leaky-ReLU and smooth), DKS, and EOC.
 
 The supporting kit is a bracketed bisection and a damped Newton iteration
-with finite-difference Jacobian for the three-dimensional moment systems.
+with a finite-difference or analytic Jacobian for the moment systems.
 All solvers are deterministic given their inputs.
 """
 
@@ -20,12 +20,16 @@ from .errors import (
     UnsupportedDerivativeError,
 )
 from .kernel_maps import (
+    _HERMITE_CAP,
     LocalMapParams,
     QuadratureRule,
     cstats,
     default_rule,
     local_q,
     lrelu_c_map,
+    _default_order,
+    _hermite_basis,
+    _hermite_jet,
 )
 from .netgraph import NetworkGraph, eval_M
 
@@ -162,32 +166,34 @@ def solve_nonlinear_system(
     x0,
     tol: float = 1e-10,
     max_iter: int = 200,
+    jac=None,
 ) -> np.ndarray:
     """Root of F: R^n -> R^n with ||F(x)||_inf <= tol.
 
-    Damped Newton with a central finite-difference Jacobian and backtracking
-    line search on ||F||_2.
+    Damped Newton with backtracking line search on ||F||_2.  jac(x), when
+    given, returns the n x n Jacobian; otherwise it is taken by central
+    finite differences.
     """
     x = np.asarray(x0, dtype=float).copy()
     fx = np.asarray(F(x), dtype=float)
     n = x.size
-    trace = []
     for it in range(max_iter):
-        norm = np.max(np.abs(fx))
-        trace.append((x.copy(), norm))
-        if norm <= tol:
+        if np.max(np.abs(fx)) <= tol:
             return x
-        jac = np.empty((n, n))
-        for j in range(n):
-            h = 1e-7 * max(1.0, abs(x[j]))
-            xp, xm = x.copy(), x.copy()
-            xp[j] += h
-            xm[j] -= h
-            jac[:, j] = (np.asarray(F(xp)) - np.asarray(F(xm))) / (2.0 * h)
+        if jac is not None:
+            jx = np.asarray(jac(x), dtype=float)
+        else:
+            jx = np.empty((n, n))
+            for j in range(n):
+                h = 1e-7 * max(1.0, abs(x[j]))
+                xp, xm = x.copy(), x.copy()
+                xp[j] += h
+                xm[j] -= h
+                jx[:, j] = (np.asarray(F(xp)) - np.asarray(F(xm))) / (2.0 * h)
         try:
-            step = np.linalg.solve(jac, -fx)
+            step = np.linalg.solve(jx, -fx)
         except np.linalg.LinAlgError:
-            step = -np.linalg.lstsq(jac, fx, rcond=None)[0]
+            step = -np.linalg.lstsq(jx, fx, rcond=None)[0]
         base = np.linalg.norm(fx)
         t = 1.0
         for _ in range(40):
@@ -270,14 +276,12 @@ def _transformed(base: Activation, a: float, b: float, d: float, rule: Quadratur
     return TransformedActivation(base=base, alpha=a, beta=b, gamma=gamma, delta=d)
 
 
-def _solve_moment_system(base: Activation, residuals, rule: QuadratureRule):
-    """Solve for (alpha, beta, delta) from multiple starts; return (x, res_norm)."""
+def _solve_from_starts(residuals, starts, jac=None):
+    """First root of residuals found from the starts; return (x, res_norm)."""
     last_err = None
-    for a0, b0, d0 in _MULTI_STARTS:
-        if d0 is None:
-            d0 = -float(base.value(b0))
+    for x0 in starts:
         try:
-            x = solve_nonlinear_system(residuals, (a0, b0, d0))
+            x = solve_nonlinear_system(residuals, x0, jac=jac)
         except SolverFailure as err:
             last_err = err
             continue
@@ -323,13 +327,60 @@ def solve_tat_smooth(
             rule.expect(lambda z: phi.deriv2(z) ** 2) - target,
         ])
 
-    x, res = _solve_moment_system(base, residuals, rule)
+    starts = [(a0, b0, -float(base.value(b0)) if d0 is None else d0)
+              for a0, b0, d0 in _MULTI_STARTS]
+    x, res = _solve_from_starts(residuals, starts)
     a, b, d = (float(v) for v in x)
     phi = _transformed(base, a, b, d, rule)
     return TatSmoothSolution(
         alpha=a, beta=b, gamma=float(phi.gamma), delta=d,
         target_local_cpp1=target, residual_norm=res, base=base,
     )
+
+
+# DKS Newton starts (alpha, beta).  beta = 0 is avoided: for an odd base
+# (tanh) both DKS moments are even in beta there, so the Jacobian is
+# singular; beta < 0 first keeps the sign the quadrature solver found.
+_DKS_STARTS = ((1.0, -0.5), (1.0, 0.5), (0.5, -0.5), (2.0, -0.5))
+# largest deviation of the four DKS moments, recomputed by direct
+# quadrature at twice the solve's order, that an answer may carry
+_DKS_CERTIFY_TOL = 1e-9
+
+_N = np.arange(1.0, _HERMITE_CAP + 1.0)  # the degrees n >= 1
+_STEIN = np.sqrt((_N[:-2] + 1.0) * (_N[:-2] + 2.0))
+
+
+def _dks_moments(a):
+    """C'(1) and Q'(1) of gamma (f + delta) from the Hermite coefficients
+    a = (a_1, a_2, ...) of f, and their gradients in a (a 2 x len(a) array).
+
+    delta = -a_0 gives C(0) = 0, so a_0 drops out, and gamma^2 = 1 / sum
+    a_n^2 gives Q(1) = 1.  With b = gamma a, C'(1) = E[phi'^2] = sum n b_n^2,
+    and by Stein's lemma Q'(1) = E[phi phi' z] = E[phi'^2] + E[phi phi''] =
+    sum n b_n^2 + sum sqrt((n+1)(n+2)) b_n b_{n+2}.
+    """
+    s = a @ a
+    p = (_N * a) @ a
+    t = (_STEIN * a[:-2]) @ a[2:]
+    cp1, qp1 = p / s, (p + t) / s
+    dp, ds = 2.0 * _N * a, 2.0 * a
+    dt = np.zeros_like(a)
+    dt[:-2] += _STEIN * a[2:]
+    dt[2:] += _STEIN * a[:-2]
+    grad = np.stack([(dp - cp1 * ds) / s, (dp + dt - qp1 * ds) / s])
+    return np.array([cp1, qp1]), grad
+
+
+def _dks_deviation(base: Activation, alpha, beta, gamma, delta, m, order) -> float:
+    """Largest miss of C(0) = 0 (as the mean), Q(1) = 1, Q'(1) = 1 and C'(1)
+    = m by direct quadrature on the nodes of _hermite_basis(order): no
+    series, so both the truncation and the quadrature error of the solve show."""
+    x, w, _ = _hermite_basis(order)
+    u = alpha * x + beta
+    f = gamma * (base.value(u) + delta)
+    fp = gamma * alpha * base.deriv1(u)
+    return float(max(abs(w @ f), abs(w @ (f * f) - 1.0),
+                     abs(w @ (f * fp * x) - 1.0), abs(w @ (fp * fp) - m)))
 
 
 def solve_dks(
@@ -340,7 +391,14 @@ def solve_dks(
 ) -> DksSolution:
     """Transform parameters enforcing Q(1)=1, Q'(1)=1, C(0)=0, C'(1)=m.
 
-    m >= 1 is found by inverting the maximal slope function at zeta.
+    m >= 1 is found by inverting the maximal slope function at zeta.  In
+    Hermite-coefficient space delta and gamma follow from C(0) = 0 and
+    Q(1) = 1 in closed form (_dks_moments), leaving a Newton solve with an
+    analytic Jacobian in (alpha, beta) on the kink-split nodes of
+    rule.order (the default order when rule is None).  _dks_deviation
+    certifies the answer at twice that order; past _DKS_CERTIFY_TOL it is
+    solved once more at the doubled order, and SolverFailure is raised if
+    it still misses.  residual_norm is the certified deviation.
     """
     if not base.smooth:
         raise UnsupportedDerivativeError(
@@ -348,30 +406,42 @@ def solve_dks(
         )
     if not zeta > 1.0:
         raise ValueError(f"zeta must exceed 1, got {zeta}")
-    rule = rule or default_rule()
+    # only the order is used: building the default rule's nodes costs more
+    # than the Newton solve
+    order = rule.order if rule is not None else _default_order()
 
     def slope_residual(m: float) -> float:
         return eval_M(g, lambda x: m * x, 1.0) - zeta
 
     m = bisect(slope_residual, 1.0, zeta, tol=1e-12)
+    target = np.array([m, 1.0])
+    starts = _DKS_STARTS
+    for solve_order in (order, 2 * order):
 
-    def residuals(x):
-        a, b, d = x
-        phi = _transformed(base, a, b, d, rule)
-        if phi is None:
-            return np.array([1e6, 1e6, 1e6])
-        return np.array([
-            rule.expect(lambda z: phi.value(z) * phi.deriv1(z) * z) - 1.0,
-            rule.expect(lambda z: phi.value(z)),
-            rule.expect(lambda z: phi.deriv1(z) ** 2) - m,
-        ])
+        def residuals(x):
+            a = _hermite_jet(base, x[0], x[1], solve_order)[1:, 0]
+            return _dks_moments(a)[0] - target
 
-    x, res = _solve_moment_system(base, residuals, rule)
-    a, b, d = (float(v) for v in x)
-    phi = _transformed(base, a, b, d, rule)
-    return DksSolution(
-        alpha=a, beta=b, gamma=float(phi.gamma), delta=d,
-        target_local_cp1=m, residual_norm=res, base=base,
+        def jacobian(x):
+            jet = _hermite_jet(base, x[0], x[1], solve_order)[1:]
+            return _dks_moments(jet[:, 0])[1] @ jet[:, 1:]
+
+        x, _ = _solve_from_starts(residuals, starts, jac=jacobian)
+        alpha, beta = (float(v) for v in x)
+        a = _hermite_jet(base, alpha, beta, solve_order)[:, 0]
+        gamma, delta = float(np.sum(a[1:] ** 2) ** -0.5), float(-a[0])
+        deviation = _dks_deviation(base, alpha, beta, gamma, delta, m, 2 * solve_order)
+        if deviation <= _DKS_CERTIFY_TOL:
+            return DksSolution(
+                alpha=alpha, beta=beta, gamma=gamma, delta=delta,
+                target_local_cp1=m, residual_norm=deviation, base=base,
+            )
+        starts = ((alpha, beta),) + _DKS_STARTS
+    raise SolverFailure(
+        f"DKS moments miss their targets by {deviation:.3e} at quadrature "
+        f"order {2 * solve_order} (certificate {_DKS_CERTIFY_TOL:g}): the "
+        "Hermite series does not resolve the transform",
+        last_iterate=np.array([alpha, beta, gamma, delta]),
     )
 
 
@@ -379,10 +449,22 @@ def solve_dks(
 # edge of chaos
 
 
+# q* beyond this counts as divergence
+_Q_MAX = 1e12
+
+
 def _q_fixed_point(
     params: LocalMapParams, rule: QuadratureRule, q0: float = 1.0,
-    tol: float = 1e-12, max_iter: int = 100000,
+    tol: float = 1e-12, max_iter: int = 200,
 ) -> float:
+    """Fixed point of the q map from q0, or inf if none is reached.
+
+    The iteration stops when a step moves q by at most tol relative to
+    max(1, q): an absolute tol sits below the rounding floor of a large q.
+    It reports inf when q passes _Q_MAX or after max_iter accelerated
+    rounds without convergence (tanh takes at most about 20; a softplus
+    map near sigma_w = sqrt(2) creeps on for 10^5 steps and more).
+    """
     # Split the quadrature domain at the origin: for large q the integrand
     # phi(sqrt(q) z)^2 varies on the scale 1/sqrt(q), which a plain Hermite
     # grid cannot resolve, while panel endpoints clustered at zero can.
@@ -399,19 +481,19 @@ def _q_fixed_point(
     q = q0
     for _ in range(max_iter):
         q1 = step(q)
-        if not math.isfinite(q1) or q1 > 1e12:
+        if not math.isfinite(q1) or q1 > _Q_MAX:
             return math.inf
-        if abs(q1 - q) <= tol:
+        if abs(q1 - q) <= tol * max(1.0, q1):
             return q1
         q2 = step(q1)
-        if not math.isfinite(q2) or q2 > 1e12:
+        if not math.isfinite(q2) or q2 > _Q_MAX:
             return math.inf
-        if abs(q2 - q1) <= tol:
+        if abs(q2 - q1) <= tol * max(1.0, q2):
             return q2
         denom = q2 - 2.0 * q1 + q
         q_acc = q - (q1 - q) ** 2 / denom if denom != 0.0 else q2
         q = q_acc if (math.isfinite(q_acc) and q_acc > 0.0) else q2
-    return q
+    return math.inf
 
 
 def solve_eoc_smooth(
@@ -426,7 +508,10 @@ def solve_eoc_smooth(
     bisects sigma_w.  At the fixed point Q(q*) = q*, so the slope condition
     reduces to sigma_w^2 E[phi'(sqrt(q*) z)^2] = 1.  An affine base (phi''
     = 0) has no isolated edge: at its sigma_w every q is a fixed point
-    (sigma_b = 0) or none is (sigma_b > 0), so it is refused.
+    (sigma_b = 0) or none is (sigma_b > 0), so it is refused.  So is a
+    bisection that closes on a jump instead of a root: softplus has
+    E[sigmoid(sqrt(q) z)^2] -> 1/2 from below, so its slope stays under 1
+    wherever q* is finite and reaches 1 only as q* diverges.
     """
     if not base.smooth:
         raise UnsupportedDerivativeError("EOC solve only covers smooth activations")
@@ -438,22 +523,28 @@ def solve_eoc_smooth(
             "or none is (sigma_b > 0)"
         )
 
-    def chi(sigma_w: float) -> float:
-        params = LocalMapParams(base, sigma_w=sigma_w, sigma_b=sigma_b)
-        q_star = _q_fixed_point(params, rule)
+    def chi(sigma_w: float, q_star: float) -> float:
         if not math.isfinite(q_star):
             return math.inf  # expanding regime, chaotic side
-        q_star = max(q_star, 1e-12)
-        s = math.sqrt(q_star)
+        s = math.sqrt(max(q_star, 1e-12))
         return sigma_w**2 * rule.expect(
             lambda z: base.deriv1(s * z) ** 2, kinks=(0.0,)
         )
 
+    def q_fixed_point(sigma_w: float) -> float:
+        params = LocalMapParams(base, sigma_w=sigma_w, sigma_b=sigma_b)
+        return _q_fixed_point(params, rule)
+
     lo, hi = sigma_w_range
+    finite_chi = 0.0  # largest slope met at a finite q*
 
     def residual(sigma_w: float) -> float:
-        value = chi(sigma_w)
-        return 1e6 if math.isinf(value) else value - 1.0
+        nonlocal finite_chi
+        value = chi(sigma_w, q_fixed_point(sigma_w))
+        if math.isinf(value):
+            return 1e6
+        finite_chi = max(finite_chi, value)
+        return value - 1.0
 
     try:
         sigma_w = bisect(residual, lo, hi, tol=1e-10)
@@ -461,10 +552,16 @@ def solve_eoc_smooth(
         raise UnattainableTargetError(
             f"no edge-of-chaos point for sigma_w in [{lo}, {hi}]: {err}"
         ) from err
-    params = LocalMapParams(base, sigma_w=sigma_w, sigma_b=sigma_b)
-    return EocSolution(
-        sigma_w=sigma_w, sigma_b=sigma_b, q_fixed_point=_q_fixed_point(params, rule)
-    )
+    q_star = q_fixed_point(sigma_w)
+    slope = chi(sigma_w, q_star)
+    if not abs(slope - 1.0) <= 1e-8:
+        raise UnattainableTargetError(
+            f"no edge-of-chaos point: C'(1) stays below 1 while q* is finite "
+            f"and q* diverges from sigma_w = {sigma_w:.10g} (largest C'(1) "
+            f"met {finite_chi:.10g})",
+            max_value=finite_chi,
+        )
+    return EocSolution(sigma_w=sigma_w, sigma_b=sigma_b, q_fixed_point=q_star)
 
 
 def eoc_lrelu(alpha: float = 0.0) -> EocSolution:

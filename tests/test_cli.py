@@ -14,11 +14,13 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qcmap
 from qcmap import GraphValidationError, eval_M, lrelu_c_map
 from qcmap.cli import run
 from qcmap.netgraph import graph_from_dict
@@ -103,6 +105,21 @@ class TestSolveCommand:
         assert envelope["error"] == "unattainable-target"
         assert "unattainable target; max C_f(0)=0.3183" in envelope["message"]
         assert envelope["context"]["max_value"] == pytest.approx(1 / math.pi, abs=1e-9)
+
+    def test_eoc_softplus_refused_in_bounded_time(self, capsys):
+        # softplus reaches C'(1) = 1 only as q* diverges; the refusal must
+        # not wait on the fixed-point iteration creeping towards it
+        start = time.perf_counter()
+        code, out, err = invoke(
+            ["solve", "--method", "eoc", "--activation", "softplus",
+             "--sigma-b", "0.109961"],
+            capsys,
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        envelope = json.loads(err)
+        assert envelope["error"] == "unattainable-target"
+        assert envelope["context"]["max_value"] < 1.0
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "sol.json"
@@ -465,6 +482,33 @@ class TestUsageErrors:
         )
         assert code == 1
         assert "unknown graph spec" in json.loads(err)["message"]
+
+
+class TestParserReuse:
+    def test_calls_in_one_process_match_fresh_processes(self, capsys):
+        # the parser is built once per process; each call must still parse
+        # into a fresh namespace, so the eta of one solve does not leak into
+        # the next, and usage errors and --version keep their exit codes
+        argvs = [
+            ["validate-graph", "--graph", "vanilla:3"],
+            ["solve", "--method", "tat-lrelu", "--graph", "vanilla:5", "--eta", "0.5"],
+            ["solve", "--method", "nope"],
+            ["solve", "--method", "tat-lrelu", "--graph", "vanilla:5"],
+            ["--version"],
+            ["cmap", "--graph", "vanilla:2", "--activation", "relu", "--points", "3"],
+            ["ode", "--T", "1.0", "--bogus"],
+            ["validate-graph", "--graph", "vanilla:3"],
+        ]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.dirname(os.path.dirname(qcmap.__file__)),
+             os.environ.get("PYTHONPATH", "")]))
+        for argv in argvs:
+            fresh = subprocess.run(
+                [sys.executable, "-c", "from qcmap.cli import main; main()", *argv],
+                capture_output=True, env=env,
+            )
+            want = (fresh.returncode, fresh.stdout.decode(), fresh.stderr.decode())
+            assert invoke(argv, capsys) == want, argv
 
 
 class TestConsoleScript:

@@ -30,7 +30,7 @@ from qcmap import (
     theory_trace,
 )
 from qcmap import finite_width
-from qcmap.finite_width import _fresh_layer
+from qcmap.finite_width import _cholesky_factor, _fresh_layer, _solve_upper
 
 
 RNG = lambda s=0: np.random.default_rng(s)
@@ -156,6 +156,18 @@ class TestFreshLayer:
             x = RNG(27).normal(size=(30, n))
             want = sample_weight_matrix(InitScheme.GAUSSIAN_FAN_IN, 30, 30, RNG(28)) @ x
             assert np.array_equal(_fresh_layer(x, InitScheme.GAUSSIAN_FAN_IN, RNG(28)), want)
+
+    @pytest.mark.parametrize("n", [1, 31, 33, 200, 601])
+    def test_blocked_triangular_solve_matches_lu(self, n):
+        # sizes on both sides of the 32 block and of odd halvings; R_G as
+        # the SUO route forms it, against a general LU solve
+        rng = RNG(30)
+        g = rng.standard_normal((2 * n, n))
+        r = _cholesky_factor(g.T @ g)
+        b = np.linalg.qr(rng.standard_normal((2 * n, n)), mode="r")
+        want = np.linalg.solve(r, b)
+        got = _solve_upper(r, b)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("scheme", list(InitScheme))
     def test_singular_gram_falls_back(self, scheme):

@@ -38,6 +38,7 @@ from qcmap import (
     solve_dks,
     solve_tat_smooth,
 )
+from qcmap.kernel_maps import _hermite_jet
 
 RULE = default_rule()
 RULE_120 = QuadratureRule.gauss_hermite(120)
@@ -487,6 +488,25 @@ class TestKernelMap:
         if q1 == q2:
             # at c = 1 every dropped term counts with weight one
             assert dev[-1] >= 0.9 * k.tail_bound
+
+    @pytest.mark.parametrize("act", [Tanh(), SoftPlus()])
+    def test_hermite_jet(self, act):
+        # coefficients of phi(alpha z + beta) against order-120 quadrature of
+        # E[phi h_n] with numpy's He_n / sqrt(n!), and the analytic alpha,
+        # beta columns against central differences of the coefficients
+        alpha, beta, h = 0.8, -0.3, 1e-6
+        jet = _hermite_jet(act, alpha, beta, RULE.order)
+        for n in range(7):
+            he_n = np.polynomial.hermite_e.HermiteE.basis(n)
+            want = RULE_120.expect(
+                lambda z: act.value(alpha * z + beta) * he_n(z) / math.sqrt(math.factorial(n))
+            )
+            assert jet[n, 0] == pytest.approx(want, abs=1e-12)
+        a = lambda al, be: _hermite_jet(act, al, be, RULE.order)[:, 0]
+        d_alpha = (a(alpha + h, beta) - a(alpha - h, beta)) / (2 * h)
+        d_beta = (a(alpha, beta + h) - a(alpha, beta - h)) / (2 * h)
+        assert np.max(np.abs(jet[:, 1] - d_alpha)) <= 1e-8
+        assert np.max(np.abs(jet[:, 2] - d_beta)) <= 1e-8
 
     def test_certificates_of_the_exact_routes(self):
         assert kernel_map(LocalMapParams(LReLU(0.1))).tail_bound == 0.0

@@ -43,6 +43,7 @@ from qcmap import (
     solve_tat_lrelu,
     solve_tat_smooth,
 )
+from qcmap import solvers
 from qcmap.netgraph import AFFINE, INPUT, NONLINEAR, SUM
 from qcmap.solvers import max_c_value
 
@@ -92,6 +93,20 @@ class TestSolveNonlinearSystem:
         b = np.array([1.0, 2.0])
         root = solve_nonlinear_system(lambda v: A @ v - b, (0.0, 0.0))
         assert root == pytest.approx(np.linalg.solve(A, b), abs=1e-9)
+
+    def test_analytic_jacobian_finds_the_same_root(self):
+        def F(v):
+            x, y = v
+            return np.array([x * x + y - 3.0, x + y * y - 5.0])
+
+        def jac(v):
+            x, y = v
+            return np.array([[2.0 * x, 1.0], [1.0, 2.0 * y]])
+
+        by_fd = solve_nonlinear_system(F, (1.0, 1.0))
+        by_jac = solve_nonlinear_system(F, (1.0, 1.0), jac=jac)
+        assert by_jac == pytest.approx(by_fd, abs=1e-9)
+        assert np.max(np.abs(F(by_jac))) <= 1e-10
 
     def test_stalled_search_raises(self):
         # gradient is zero everywhere except the (unreachable) minimum
@@ -229,6 +244,60 @@ class TestSolveDks:
         assert s.cp1 == pytest.approx(sol.target_local_cp1, abs=1e-8)
         assert s.c0 == pytest.approx(0.0, abs=1e-8)
 
+    @pytest.mark.parametrize("base", [SoftPlus(), Tanh()])
+    def test_moment_round_trip_resnet_with_transitions(self, base):
+        g = build_rescaled_resnet(10, 0.5, with_transitions=True, final_nonlinear=True)
+        sol = solve_dks(g, base, 2.0)
+        assert sol.residual_norm <= 1e-8
+        m = sol.target_local_cp1
+        assert eval_M(g, lambda x: m * x, 1.0) == pytest.approx(2.0, abs=1e-10)
+        s = transformed_stats(sol)
+        assert s.q1 == pytest.approx(1.0, abs=1e-8)
+        assert s.qp1 == pytest.approx(1.0, abs=1e-8)
+        assert s.cp1 == pytest.approx(m, abs=1e-8)
+        assert s.c0 == pytest.approx(0.0, abs=1e-8)
+
+    @pytest.mark.parametrize("graph, zeta", [
+        (build_vanilla(87), 5778.55),
+        (build_rescaled_resnet(25, 0.851568, with_transitions=True,
+                               final_nonlinear=True), 20.4677),
+    ])
+    def test_softplus_converges_from_the_first_start(self, monkeypatch, graph, zeta):
+        # the quadrature Newton needed a second start on these requests
+        calls = []
+
+        def counting(F, x0, **kwargs):
+            calls.append(tuple(x0))
+            return solve_nonlinear_system(F, x0, **kwargs)
+
+        monkeypatch.setattr(solvers, "solve_nonlinear_system", counting)
+        sol = solve_dks(graph, SoftPlus(), zeta)
+        assert len(calls) == 1
+        s = transformed_stats(sol)
+        assert s.qp1 == pytest.approx(1.0, abs=1e-8)
+        assert s.cp1 == pytest.approx(sol.target_local_cp1, abs=1e-8)
+
+    def test_tanh_keeps_negative_beta(self):
+        # tanh is odd, so (alpha, -beta, gamma, -delta) solves too; the
+        # solver keeps the beta < 0 branch
+        sol = solve_dks(build_vanilla(50), Tanh(), 1.5)
+        assert sol.beta == pytest.approx(-0.5707795, abs=1e-6)
+
+    def test_sharp_transform_is_certified_or_refused(self):
+        # C'(1) = 2 makes tanh sharp enough that the degree-150 series
+        # misses the moments by ~1e-6: the answer must meet the order-120
+        # oracle or be refused, never returned unchecked
+        g = build_vanilla(2)
+        try:
+            sol = solve_dks(g, Tanh(), 4.0)
+        except SolverFailure as err:
+            assert "miss their targets" in str(err)
+            return
+        s = transformed_stats(sol)
+        assert s.qp1 == pytest.approx(1.0, abs=1e-6)
+        assert s.cp1 == pytest.approx(2.0, abs=1e-6)
+        assert s.c0 == pytest.approx(0.0, abs=1e-6)
+
     def test_global_map_hits_targets(self):
         depth = 6
         sol = solve_dks(build_vanilla(depth), SoftPlus(), 1.5)
@@ -277,6 +346,14 @@ class TestSolveEocSmooth:
         # q map is q -> q + sigma_b^2: no fixed point or a continuum of them
         with pytest.raises(UnattainableTargetError, match="affine"):
             solve_eoc_smooth(base, sigma_b=sigma_b)
+
+    @pytest.mark.parametrize("sigma_b", [0.0, 0.109961, 0.5])
+    def test_softplus_has_no_edge(self, sigma_b):
+        # sigma_w^2 E[sigmoid(sqrt(q*) z)^2] stays below 1 at every finite
+        # q* and reaches 1 only as q* diverges, near sigma_w = sqrt(2)
+        with pytest.raises(UnattainableTargetError, match="diverges") as exc:
+            solve_eoc_smooth(SoftPlus(), sigma_b=sigma_b)
+        assert 0.9 < exc.value.max_value < 1.0
 
     def test_non_smooth_base_rejected(self):
         with pytest.raises(UnsupportedDerivativeError):
