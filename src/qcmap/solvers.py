@@ -276,7 +276,7 @@ def _transformed(base: Activation, a: float, b: float, d: float, rule: Quadratur
     return TransformedActivation(base=base, alpha=a, beta=b, gamma=gamma, delta=d)
 
 
-def _solve_from_starts(residuals, starts, jac=None):
+def _solve_moment_system(residuals, starts, jac=None):
     """First root of residuals found from the starts; return (x, res_norm)."""
     last_err = None
     for x0 in starts:
@@ -329,7 +329,7 @@ def solve_tat_smooth(
 
     starts = [(a0, b0, -float(base.value(b0)) if d0 is None else d0)
               for a0, b0, d0 in _MULTI_STARTS]
-    x, res = _solve_from_starts(residuals, starts)
+    x, res = _solve_moment_system(residuals, starts)
     a, b, d = (float(v) for v in x)
     phi = _transformed(base, a, b, d, rule)
     return TatSmoothSolution(
@@ -339,9 +339,10 @@ def solve_tat_smooth(
 
 
 # DKS Newton starts (alpha, beta).  beta = 0 is avoided: for an odd base
-# (tanh) both DKS moments are even in beta there, so the Jacobian is
-# singular; beta < 0 first keeps the sign the quadrature solver found.
-_DKS_STARTS = ((1.0, -0.5), (1.0, 0.5), (0.5, -0.5), (2.0, -0.5))
+# (tanh) both DKS moments are even in beta, so their beta derivatives
+# vanish there and the Jacobian is singular.  beta < 0 first fixes which
+# of tanh's two roots (beta, -beta) is returned.
+_DKS_STARTS = ((1.0, -0.5), (1.0, 0.5))
 # largest deviation of the four DKS moments, recomputed by direct
 # quadrature at twice the solve's order, that an answer may carry
 _DKS_CERTIFY_TOL = 1e-9
@@ -426,7 +427,7 @@ def solve_dks(
             jet = _hermite_jet(base, x[0], x[1], solve_order)[1:]
             return _dks_moments(jet[:, 0])[1] @ jet[:, 1:]
 
-        x, _ = _solve_from_starts(residuals, starts, jac=jacobian)
+        x, _ = _solve_moment_system(residuals, starts, jac=jacobian)
         alpha, beta = (float(v) for v in x)
         a = _hermite_jet(base, alpha, beta, solve_order)[:, 0]
         gamma, delta = float(np.sum(a[1:] ** 2) ** -0.5), float(-a[0])
