@@ -11,6 +11,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -55,6 +56,15 @@ def _parse_graph(spec: str) -> NetworkGraph:
 def _emit_error(code: str, message: str, context: dict | None = None) -> None:
     envelope = {"error": code, "message": message, "context": context or {}}
     print(json.dumps(envelope), file=sys.stderr)
+
+
+def _context(err: QcmapError) -> dict:
+    """The attributes the error carries (max_value, last_iterate, residual,
+    f_lo, f_hi, node_id) as strict JSON: arrays as lists, non-finite as null."""
+    def finite(v):
+        return None if isinstance(v, float) and not math.isfinite(v) else v
+    return {name: [finite(v) for v in value.tolist()] if isinstance(value, np.ndarray)
+            else finite(value) for name, value in vars(err).items()}
 
 
 def _open_output(path: str | None):
@@ -241,11 +251,10 @@ def run(argv=None) -> int:
         return 2 if e.code not in (0, None) else int(e.code or 0)
     try:
         return args.func(args)
-    except UnattainableTargetError as err:
-        _emit_error("unattainable-target", str(err), {"max_value": err.max_value})
-        return 1
     except QcmapError as err:
-        _emit_error(type(err).__name__, str(err))
+        unattainable = isinstance(err, UnattainableTargetError)
+        code = "unattainable-target" if unattainable else type(err).__name__
+        _emit_error(code, str(err), _context(err))
         return 1
     except (ValueError, OSError) as err:
         _emit_error(type(err).__name__, str(err))

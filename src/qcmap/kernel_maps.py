@@ -118,7 +118,9 @@ class QuadratureRule:
     weights: tuple[float, ...]
 
     @classmethod
+    @lru_cache(maxsize=8)
     def gauss_hermite(cls, order: int) -> "QuadratureRule":
+        # built once per order (a hermegauss eigen-solve) and shared: frozen
         if order < 1:
             raise ValueError(f"quadrature order must be >= 1, got {order}")
         # hermegauss weights sum to sqrt(2*pi)
@@ -202,7 +204,7 @@ def _default_order() -> int:
 
 
 def default_rule(order: int | None = None) -> QuadratureRule:
-    """Default 60-point rule; QCMAP_QUAD_ORDER overrides."""
+    """Default 60-point rule; QCMAP_QUAD_ORDER overrides (read on every call)."""
     return QuadratureRule.gauss_hermite(_default_order() if order is None else order)
 
 

@@ -1,7 +1,8 @@
 """Transformation solvers: TAT (leaky-ReLU and smooth), DKS, and EOC.
 
 The supporting kit is a bracketed bisection and a damped Newton iteration
-with a finite-difference or analytic Jacobian for the moment systems.
+(finite-difference or analytic Jacobian); the smooth transforms use the
+analytic one in Hermite-coefficient space.
 All solvers are deterministic given their inputs.
 """
 
@@ -23,11 +24,8 @@ from .kernel_maps import (
     _HERMITE_CAP,
     LocalMapParams,
     QuadratureRule,
-    cstats,
     default_rule,
-    local_q,
     lrelu_c_map,
-    _default_order,
     _hermite_basis,
     _hermite_jet,
 )
@@ -261,37 +259,116 @@ def solve_tat_lrelu(
 
 
 # ---------------------------------------------------------------------------
-# shared moment-system machinery for the smooth paths
+# smooth transforms (TAT and DKS) in Hermite-coefficient space
 
 
-_MULTI_STARTS = ((1.0, 0.0, 0.0), (1.0, 0.5, None), (1.0, -0.5, None), (0.5, 0.0, 0.0))
+# Newton starts (alpha, beta); TAT adds delta = -phi(beta).  beta = 0 is
+# avoided: for an odd base (tanh) the moments are even in beta, so their
+# beta derivatives vanish there and the Jacobian is singular.  beta < 0
+# first fixes which of tanh's two roots (beta, -beta) is returned.
+_STARTS = ((1.0, -0.5), (1.0, 0.5))
+# largest deviation of the moments, recomputed by direct quadrature at
+# twice the solve's order, that an answer may carry
+_CERTIFY_TOL = 1e-9
+
+_N = np.arange(_HERMITE_CAP + 1.0)  # the degrees n >= 0
+_STEIN = np.sqrt((_N[:-2] + 1.0) * (_N[:-2] + 2.0))
 
 
-def _transformed(base: Activation, a: float, b: float, d: float, rule: QuadratureRule):
-    """gamma-normalized transform of base with Q(1) = 1 by construction."""
-    second = rule.expect(lambda z: (base.value(a * z + b) + d) ** 2)
-    if not second > 0:
-        return None
-    gamma = second ** -0.5
-    return TransformedActivation(base=base, alpha=a, beta=b, gamma=gamma, delta=d)
+def _moments(a):
+    """Q'(1), C'(1) and C''(1) of gamma (f + delta) from the Hermite
+    coefficients a = (a_0, a_1, ...) of f + delta, and their gradients in a
+    (a 3 x len(a) array).
+
+    gamma = 1 / |a| gives Q(1) = 1.  With b = gamma a, C'(1) = E[phi'^2] =
+    sum n b_n^2, C''(1) = E[phi''^2] = sum n (n-1) b_n^2, and by Stein's
+    lemma Q'(1) = E[phi phi' z] = E[phi'^2] + E[phi phi''] = sum n b_n^2 +
+    sum sqrt((n+1)(n+2)) b_n b_{n+2}.
+    """
+    # each moment is a' A a / a' a with A symmetric, so its gradient is
+    # 2 (A a - moment a) / a' a; the Stein band of Q'(1) is split over
+    # (n, n+2) and (n+2, n)
+    s = a @ a
+    band = np.zeros_like(a)
+    band[:-2] += _STEIN * a[2:]
+    band[2:] += _STEIN * a[:-2]
+    aa = np.stack([_N * a + 0.5 * band, _N * a, _N * (_N - 1.0) * a])
+    values = aa @ a / s
+    return values, 2.0 * (aa - values[:, None] * a) / s
 
 
-def _solve_moment_system(residuals, starts, jac=None):
-    """First root of residuals found from the starts; return (x, res_norm)."""
-    last_err = None
-    for x0 in starts:
-        try:
-            x = solve_nonlinear_system(residuals, x0, jac=jac)
-        except SolverFailure as err:
-            last_err = err
-            continue
-        res = np.max(np.abs(residuals(x)))
-        if res <= 1e-8:
-            return x, float(res)
+def _deviation(phi: TransformedActivation, targets, order) -> float:
+    """Largest miss of Q(1) = 1 and of (Q'(1), C'(1)[, C''(1)]) = targets by
+    direct quadrature on the nodes of _hermite_basis(order), with C(0) = 0
+    (as the mean) when C''(1) is not a target: no series, so both the
+    truncation and the quadrature error of the solve show."""
+    x, w, _ = _hermite_basis(order)
+    f, fp = phi.value(x), phi.deriv1(x)
+    last = w @ phi.deriv2(x) ** 2 - targets[2] if len(targets) == 3 else w @ f
+    return float(np.max(np.abs([w @ (f * f) - 1.0, w @ (f * fp * x) - targets[0],
+                                w @ (fp * fp) - targets[1], last])))
+
+
+def _solve_transform(base: Activation, order: int, free_delta: bool, targets):
+    """(phi, deviation): phi = gamma (base(alpha z + beta) + delta) with Q(1)
+    = 1 and (Q'(1), C'(1)[, C''(1)]) = targets, and its certified deviation.
+
+    In Hermite-coefficient space gamma = 1 / |a| in closed form (_moments).
+    With free_delta (TAT) delta is a third unknown; it shifts a_0, so its
+    Jacobian column is e_0.  Otherwise (DKS) delta = -a_0, which gives
+    C(0) = 0.  Newton runs with an analytic Jacobian on the kink-split nodes
+    of order; _deviation certifies the answer at twice that order.  Past
+    _CERTIFY_TOL it is solved once more at the doubled order, and
+    SolverFailure is raised if it still misses.
+    """
+    k = len(targets)
+    starts = [(a0, b0, -float(base.value(b0))) if free_delta else (a0, b0)
+              for a0, b0 in _STARTS]
+    for solve_order in (order, 2 * order):
+
+        def jet(x):
+            """Coefficients of base(alpha z + beta) + delta, then their x
+            derivatives (d/d delta = e_0), and delta."""
+            out = _hermite_jet(base, x[0], x[1], solve_order)
+            if free_delta:
+                out, delta = np.hstack([out, np.eye(len(out), 1)]), x[2]
+            else:
+                out[0, 1:], delta = 0.0, -out[0, 0]
+            out[0, 0] += delta
+            return out, delta
+
+        def residuals(x):
+            return _moments(jet(x)[0][:, 0])[0][:k] - targets
+
+        def jacobian(x):
+            j = jet(x)[0]
+            return _moments(j[:, 0])[1][:k] @ j[:, 1:]
+
+        for x0 in starts:
+            try:
+                x = solve_nonlinear_system(residuals, x0, jac=jacobian)
+                break
+            except SolverFailure as err:
+                failure = err
+        else:
+            raise SolverFailure(
+                f"moment system unsolved from all starting points: {failure}",
+                last_iterate=failure.last_iterate, residual=failure.residual,
+            )
+        a, delta = jet(x)
+        phi = TransformedActivation(
+            base=base, alpha=float(x[0]), beta=float(x[1]),
+            gamma=float(np.sum(a[:, 0] ** 2) ** -0.5), delta=float(delta),
+        )
+        deviation = _deviation(phi, targets, 2 * solve_order)
+        if deviation <= _CERTIFY_TOL:
+            return phi, deviation
+        starts = [tuple(x)] + starts
     raise SolverFailure(
-        f"moment system unsolved from all starting points: {last_err}",
-        last_iterate=getattr(last_err, "last_iterate", None),
-        residual=getattr(last_err, "residual", None),
+        f"transform moments miss their targets by {deviation:.3e} at quadrature "
+        f"order {2 * solve_order} (certificate {_CERTIFY_TOL:g}): the "
+        "Hermite series does not resolve the transform",
+        last_iterate=np.array([phi.alpha, phi.beta, phi.gamma, phi.delta]),
     )
 
 
@@ -304,7 +381,9 @@ def solve_tat_smooth(
     """Transform parameters enforcing Q(1)=1, Q'(1)=1, C'(1)=1, C''(1)=tau/m.
 
     m is the linear coefficient of the maximal curvature function, obtained
-    by evaluating it at unit local curvature.
+    by evaluating it at unit local curvature.  _solve_transform solves for
+    (alpha, beta, delta) on the nodes of rule.order (the default order when
+    rule is None); residual_norm is its certified deviation.
     """
     if not base.smooth:
         raise UnsupportedDerivativeError(
@@ -312,76 +391,14 @@ def solve_tat_smooth(
         )
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    rule = rule or default_rule()
+    order = (rule or default_rule()).order
     m = eval_M(g, lambda x: 1.0 + x, 0.0)  # curvature rule with C''(1) = 1
     target = tau / m
-
-    def residuals(x):
-        a, b, d = x
-        phi = _transformed(base, a, b, d, rule)
-        if phi is None:
-            return np.array([1e6, 1e6, 1e6])
-        return np.array([
-            rule.expect(lambda z: phi.value(z) * phi.deriv1(z) * z) - 1.0,
-            rule.expect(lambda z: phi.deriv1(z) ** 2) - 1.0,
-            rule.expect(lambda z: phi.deriv2(z) ** 2) - target,
-        ])
-
-    starts = [(a0, b0, -float(base.value(b0)) if d0 is None else d0)
-              for a0, b0, d0 in _MULTI_STARTS]
-    x, res = _solve_moment_system(residuals, starts)
-    a, b, d = (float(v) for v in x)
-    phi = _transformed(base, a, b, d, rule)
+    phi, deviation = _solve_transform(base, order, True, np.array([1.0, 1.0, target]))
     return TatSmoothSolution(
-        alpha=a, beta=b, gamma=float(phi.gamma), delta=d,
-        target_local_cpp1=target, residual_norm=res, base=base,
+        alpha=phi.alpha, beta=phi.beta, gamma=phi.gamma, delta=phi.delta,
+        target_local_cpp1=target, residual_norm=deviation, base=base,
     )
-
-
-# DKS Newton starts (alpha, beta).  beta = 0 is avoided: for an odd base
-# (tanh) both DKS moments are even in beta, so their beta derivatives
-# vanish there and the Jacobian is singular.  beta < 0 first fixes which
-# of tanh's two roots (beta, -beta) is returned.
-_DKS_STARTS = ((1.0, -0.5), (1.0, 0.5))
-# largest deviation of the four DKS moments, recomputed by direct
-# quadrature at twice the solve's order, that an answer may carry
-_DKS_CERTIFY_TOL = 1e-9
-
-_N = np.arange(1.0, _HERMITE_CAP + 1.0)  # the degrees n >= 1
-_STEIN = np.sqrt((_N[:-2] + 1.0) * (_N[:-2] + 2.0))
-
-
-def _dks_moments(a):
-    """C'(1) and Q'(1) of gamma (f + delta) from the Hermite coefficients
-    a = (a_1, a_2, ...) of f, and their gradients in a (a 2 x len(a) array).
-
-    delta = -a_0 gives C(0) = 0, so a_0 drops out, and gamma^2 = 1 / sum
-    a_n^2 gives Q(1) = 1.  With b = gamma a, C'(1) = E[phi'^2] = sum n b_n^2,
-    and by Stein's lemma Q'(1) = E[phi phi' z] = E[phi'^2] + E[phi phi''] =
-    sum n b_n^2 + sum sqrt((n+1)(n+2)) b_n b_{n+2}.
-    """
-    s = a @ a
-    p = (_N * a) @ a
-    t = (_STEIN * a[:-2]) @ a[2:]
-    cp1, qp1 = p / s, (p + t) / s
-    dp, ds = 2.0 * _N * a, 2.0 * a
-    dt = np.zeros_like(a)
-    dt[:-2] += _STEIN * a[2:]
-    dt[2:] += _STEIN * a[:-2]
-    grad = np.stack([(dp - cp1 * ds) / s, (dp + dt - qp1 * ds) / s])
-    return np.array([cp1, qp1]), grad
-
-
-def _dks_deviation(base: Activation, alpha, beta, gamma, delta, m, order) -> float:
-    """Largest miss of C(0) = 0 (as the mean), Q(1) = 1, Q'(1) = 1 and C'(1)
-    = m by direct quadrature on the nodes of _hermite_basis(order): no
-    series, so both the truncation and the quadrature error of the solve show."""
-    x, w, _ = _hermite_basis(order)
-    u = alpha * x + beta
-    f = gamma * (base.value(u) + delta)
-    fp = gamma * alpha * base.deriv1(u)
-    return float(max(abs(w @ f), abs(w @ (f * f) - 1.0),
-                     abs(w @ (f * fp * x) - 1.0), abs(w @ (fp * fp) - m)))
 
 
 def solve_dks(
@@ -392,14 +409,10 @@ def solve_dks(
 ) -> DksSolution:
     """Transform parameters enforcing Q(1)=1, Q'(1)=1, C(0)=0, C'(1)=m.
 
-    m >= 1 is found by inverting the maximal slope function at zeta.  In
-    Hermite-coefficient space delta and gamma follow from C(0) = 0 and
-    Q(1) = 1 in closed form (_dks_moments), leaving a Newton solve with an
-    analytic Jacobian in (alpha, beta) on the kink-split nodes of
-    rule.order (the default order when rule is None).  _dks_deviation
-    certifies the answer at twice that order; past _DKS_CERTIFY_TOL it is
-    solved once more at the doubled order, and SolverFailure is raised if
-    it still misses.  residual_norm is the certified deviation.
+    m >= 1 is found by inverting the maximal slope function at zeta.
+    _solve_transform solves for (alpha, beta), with delta = -a_0, on the
+    nodes of rule.order (the default order when rule is None);
+    residual_norm is its certified deviation.
     """
     if not base.smooth:
         raise UnsupportedDerivativeError(
@@ -407,42 +420,16 @@ def solve_dks(
         )
     if not zeta > 1.0:
         raise ValueError(f"zeta must exceed 1, got {zeta}")
-    # only the order is used: building the default rule's nodes costs more
-    # than the Newton solve
-    order = rule.order if rule is not None else _default_order()
+    order = (rule or default_rule()).order
 
     def slope_residual(m: float) -> float:
         return eval_M(g, lambda x: m * x, 1.0) - zeta
 
     m = bisect(slope_residual, 1.0, zeta, tol=1e-12)
-    target = np.array([m, 1.0])
-    starts = _DKS_STARTS
-    for solve_order in (order, 2 * order):
-
-        def residuals(x):
-            a = _hermite_jet(base, x[0], x[1], solve_order)[1:, 0]
-            return _dks_moments(a)[0] - target
-
-        def jacobian(x):
-            jet = _hermite_jet(base, x[0], x[1], solve_order)[1:]
-            return _dks_moments(jet[:, 0])[1] @ jet[:, 1:]
-
-        x, _ = _solve_moment_system(residuals, starts, jac=jacobian)
-        alpha, beta = (float(v) for v in x)
-        a = _hermite_jet(base, alpha, beta, solve_order)[:, 0]
-        gamma, delta = float(np.sum(a[1:] ** 2) ** -0.5), float(-a[0])
-        deviation = _dks_deviation(base, alpha, beta, gamma, delta, m, 2 * solve_order)
-        if deviation <= _DKS_CERTIFY_TOL:
-            return DksSolution(
-                alpha=alpha, beta=beta, gamma=gamma, delta=delta,
-                target_local_cp1=m, residual_norm=deviation, base=base,
-            )
-        starts = ((alpha, beta),) + _DKS_STARTS
-    raise SolverFailure(
-        f"DKS moments miss their targets by {deviation:.3e} at quadrature "
-        f"order {2 * solve_order} (certificate {_DKS_CERTIFY_TOL:g}): the "
-        "Hermite series does not resolve the transform",
-        last_iterate=np.array([alpha, beta, gamma, delta]),
+    phi, deviation = _solve_transform(base, order, False, np.array([1.0, m]))
+    return DksSolution(
+        alpha=phi.alpha, beta=phi.beta, gamma=phi.gamma, delta=phi.delta,
+        target_local_cp1=m, residual_norm=deviation, base=base,
     )
 
 

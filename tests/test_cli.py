@@ -32,6 +32,10 @@ def invoke(argv, capsys):
     return code, captured.out, captured.err
 
 
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
 class TestSolveCommand:
     def test_tat_lrelu_json(self, capsys):
         code, out, err = invoke(
@@ -105,6 +109,41 @@ class TestSolveCommand:
         assert envelope["error"] == "unattainable-target"
         assert "unattainable target; max C_f(0)=0.3183" in envelope["message"]
         assert envelope["context"]["max_value"] == pytest.approx(1 / math.pi, abs=1e-9)
+
+    def test_solver_failure_envelope_carries_the_iterate(self, capsys):
+        # too sharp for the degree-150 series: the certificate refuses it
+        code, out, err = invoke(
+            ["solve", "--method", "tat-smooth", "--graph", "vanilla:10",
+             "--activation", "softplus", "--tau", "5"],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        envelope = json.loads(err, parse_constant=_reject_constant)
+        assert set(envelope) == {"error", "message", "context"}
+        assert envelope["error"] == "SolverFailure"
+        assert len(envelope["context"]["last_iterate"]) == 4
+        assert all(math.isfinite(v) for v in envelope["context"]["last_iterate"])
+
+    @pytest.mark.parametrize("doc, argv, error, context", [
+        # a graph with no nonlinear node has global slope 1 for every m
+        ({"nodes": [{"id": 0, "kind": "input"}, {"id": 1, "kind": "affine"}],
+          "edges": [[0, 1]], "output": 1},
+         ["solve", "--method", "dks", "--activation", "tanh", "--zeta", "2"],
+         "BracketError", {"f_lo": -1.0, "f_hi": -1.0}),
+        ({"nodes": [{"id": 0, "kind": "input"}, {"id": 1, "kind": "affine"},
+                    {"id": 2, "kind": "nonlinear"},
+                    {"id": 3, "kind": "sum", "weights": [0.5, 0.5]}],
+          "edges": [[0, 1], [1, 2], [0, 3], [2, 3]], "output": 3},
+         ["validate-graph"], "GraphValidationError", {"node_id": 3}),
+    ])
+    def test_error_context_from_exception(self, capsys, tmp_path, doc, argv, error, context):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(argv + ["--graph", f"file:{path}"], capsys)
+        assert code == 1 and out == ""
+        envelope = json.loads(err, parse_constant=_reject_constant)
+        assert envelope["error"] == error
+        assert envelope["context"] == context
 
     def test_eoc_softplus_refused_in_bounded_time(self, capsys):
         # softplus reaches C'(1) = 1 only as q* diverges; the refusal must

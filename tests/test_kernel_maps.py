@@ -58,6 +58,16 @@ class TestQuadratureRule:
         monkeypatch.setenv("QCMAP_QUAD_ORDER", "24")
         assert default_rule().order == 24
 
+    def test_rule_shared_per_order_and_env_read_per_call(self, monkeypatch):
+        monkeypatch.setenv("QCMAP_QUAD_ORDER", "24")
+        first = default_rule()
+        assert default_rule() is first
+        monkeypatch.setenv("QCMAP_QUAD_ORDER", "32")
+        assert default_rule().order == 32
+        assert len(default_rule().nodes) == 32
+        monkeypatch.setenv("QCMAP_QUAD_ORDER", "24")
+        assert default_rule() is first
+
     def test_invalid_order_rejected(self):
         with pytest.raises(ValueError):
             QuadratureRule.gauss_hermite(0)

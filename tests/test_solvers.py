@@ -188,6 +188,23 @@ class TestSolveTatLrelu:
             solve_dks(g, SoftPlus(), 1.5)
 
 
+class TestHermiteMoments:
+    def test_gradients_match_central_differences(self):
+        # an independent check of the solvers' analytic Jacobian: every row,
+        # with a_0 != 0 as TAT's free delta leaves it
+        n = solvers._N.size
+        a = np.random.default_rng(7).normal(size=n) * 0.8 ** np.arange(n)
+        a[0] = 0.4
+        _, grad = solvers._moments(a)
+        h = 1e-6
+        fd = np.empty_like(grad)
+        for j in range(n):
+            step = np.zeros(n)
+            step[j] = h
+            fd[:, j] = (solvers._moments(a + step)[0] - solvers._moments(a - step)[0]) / (2 * h)
+        assert grad == pytest.approx(fd, abs=1e-7, rel=1e-6)
+
+
 def transformed_stats(sol, order=120):
     rule = QuadratureRule.gauss_hermite(order)
     return cstats(LocalMapParams(sol.activation), rule)
@@ -219,6 +236,50 @@ class TestSolveTatSmooth:
         g = build_rescaled_resnet(10, 0.99)
         m = eval_M(g, lambda x: 1.0 + x, 0.0)
         assert m == pytest.approx(3.0, abs=1e-12)
+
+    @pytest.mark.parametrize("local", [0.01, 0.2])
+    @pytest.mark.parametrize("graph", [
+        build_vanilla(10), build_vanilla(100), build_rescaled_resnet(5, 0.3),
+        build_rescaled_resnet(25, 0.95, with_transitions=True, final_nonlinear=True),
+    ])
+    @pytest.mark.parametrize("base", [SoftPlus(), Tanh()])
+    def test_converges_from_the_first_start(self, monkeypatch, base, graph, local):
+        # the ends of the benchmark's local C''(1) range
+        calls = []
+
+        def counting(F, x0, **kwargs):
+            calls.append(tuple(x0))
+            return solve_nonlinear_system(F, x0, **kwargs)
+
+        monkeypatch.setattr(solvers, "solve_nonlinear_system", counting)
+        tau = local * eval_M(graph, lambda x: 1.0 + x, 0.0)
+        sol = solve_tat_smooth(graph, base, tau)
+        assert len(calls) == 1
+        s = transformed_stats(sol)
+        assert s.qp1 == pytest.approx(1.0, abs=1e-8)
+        assert s.cpp1 == pytest.approx(local, abs=1e-8)
+
+    def test_tanh_keeps_negative_beta(self):
+        # tanh is odd, so (alpha, -beta, gamma, -delta) solves too; the
+        # solver keeps the beta < 0 branch
+        sol = solve_tat_smooth(build_vanilla(50), Tanh(), 0.3)
+        assert sol.beta == pytest.approx(-0.5258489, abs=1e-6)
+
+    def test_sharp_transform_is_certified_or_refused(self):
+        # local C''(1) = 0.5 makes softplus sharp enough that the degree-150
+        # series misses the moments by ~2e-7: the answer must meet the
+        # order-120 oracle to 1e-8 or be refused, never returned unchecked
+        try:
+            sol = solve_tat_smooth(build_vanilla(10), SoftPlus(), 5.0)
+        except SolverFailure as err:
+            assert "miss their targets" in str(err)
+            assert len(err.last_iterate) == 4
+            return
+        s = transformed_stats(sol)
+        assert s.q1 == pytest.approx(1.0, abs=1e-8)
+        assert s.qp1 == pytest.approx(1.0, abs=1e-8)
+        assert s.cp1 == pytest.approx(1.0, abs=1e-8)
+        assert s.cpp1 == pytest.approx(0.5, abs=1e-8)
 
     def test_non_smooth_base_rejected(self):
         with pytest.raises(UnsupportedDerivativeError):
