@@ -76,6 +76,10 @@ class LReLU(Activation):
     alpha: float = 0.0
     smooth: ClassVar[bool] = False
 
+    def __post_init__(self):
+        if not math.isfinite(self.alpha):
+            raise DomainError(f"negative slope must be finite, got {self.alpha}")
+
     def kinks(self) -> tuple[float, ...]:
         return (0.0,)
 
@@ -99,14 +103,8 @@ class ReLU(LReLU):
 
 
 @dataclass(frozen=True)
-class TReLU(Activation):
+class TReLU(LReLU):
     """Leaky ReLU rescaled by sqrt(2 / (1 + alpha^2)) so that Q(q) = q."""
-
-    alpha: float = 0.0
-    smooth: ClassVar[bool] = False
-
-    def kinks(self) -> tuple[float, ...]:
-        return (0.0,)
 
     @property
     def scale(self) -> float:
@@ -119,11 +117,6 @@ class TReLU(Activation):
     def deriv1(self, x):
         x = np.asarray(x, dtype=float)
         return self.scale * np.where(x >= 0.0, 1.0, self.alpha)
-
-    def deriv2(self, x):
-        raise UnsupportedDerivativeError(
-            "second derivative of a piecewise-linear activation is not defined"
-        )
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,12 @@ Failures emit a JSON envelope {error, message, context} on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -67,10 +69,20 @@ def _context(err: QcmapError) -> dict:
             else finite(value) for name, value in vars(err).items()}
 
 
-def _open_output(path: str | None):
+@contextlib.contextmanager
+def _output(path: str | None):
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+        yield sys.stdout
+    else:
+        with open(path, "w", newline="") as out:
+            yield out
+
+
+def _write_csv(path: str | None, header: list[str], rows) -> None:
+    with _output(path) as out:
+        writer = csv.writer(out)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _cmd_solve(args) -> int:
@@ -103,11 +115,9 @@ def _cmd_solve(args) -> int:
         payload["activation"] = args.activation
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown method {args.method}")
-    out, close = _open_output(args.output)
-    json.dump(payload, out, indent=2)
-    out.write("\n")
-    if close:
-        out.close()
+    with _output(args.output) as out:
+        json.dump(payload, out, indent=2)
+        out.write("\n")
     return 0
 
 
@@ -120,13 +130,8 @@ def _cmd_cmap(args) -> int:
     local = kernel_map(LocalMapParams(parse_activation(args.activation)))
     grid = np.linspace(args.start, 1.0, args.points)
     values = eval_U(graph, local, grid)
-    out, close = _open_output(args.output)
-    writer = csv.writer(out)
-    writer.writerow(["c", "C_f"])
-    for c, v in zip(grid, np.atleast_1d(values)):
-        writer.writerow([f"{c:.12g}", f"{v:.12g}"])
-    if close:
-        out.close()
+    _write_csv(args.output, ["c", "C_f"],
+               ([f"{c:.12g}", f"{v:.12g}"] for c, v in zip(grid, np.atleast_1d(values))))
     return 0
 
 
@@ -143,19 +148,10 @@ def _cmd_simulate(args) -> int:
     scheme = InitScheme(args.init)
     trace = run_simulation(config, act, scheme)
     theory = theory_trace(kernel_map(LocalMapParams(act)), config.initial_c, config.depth)
-    out, close = _open_output(args.output)
-    writer = csv.writer(out)
-    writer.writerow(["layer_index", "mean_c", "std_c", "mean_q", "theory_c"])
-    for layer in range(config.depth + 1):
-        writer.writerow([
-            layer,
-            f"{trace.mean_c[layer]:.12g}",
-            f"{trace.std_c[layer]:.12g}",
-            f"{trace.mean_q[layer]:.12g}",
-            f"{theory[layer]:.12g}",
-        ])
-    if close:
-        out.close()
+    _write_csv(args.output, ["layer_index", "mean_c", "std_c", "mean_q", "theory_c"], (
+        [layer, *(f"{v:.12g}" for v in (trace.mean_c[layer], trace.std_c[layer],
+                                         trace.mean_q[layer], theory[layer]))]
+        for layer in range(config.depth + 1)))
     return 0
 
 
@@ -167,13 +163,8 @@ def _cmd_ode(args) -> int:
     else:
         raise ValueError("ode requires --eta or --T")
     solution = integrate_psi(args.c0, T)
-    out, close = _open_output(args.output)
-    writer = csv.writer(out)
-    writer.writerow(["t", "x"])
-    for t, x in zip(solution.times, solution.states):
-        writer.writerow([f"{t:.12g}", f"{x:.12g}"])
-    if close:
-        out.close()
+    _write_csv(args.output, ["t", "x"],
+               ([f"{t:.12g}", f"{x:.12g}"] for t, x in zip(solution.times, solution.states)))
     return 0
 
 
@@ -182,6 +173,11 @@ def _cmd_validate_graph(args) -> int:
     validate_graph(graph)
     print(json.dumps({"valid": True, "nodes": graph.num_nodes}))
     return 0
+
+
+# argparse reads only -2 and -2.5 shaped tokens as negative numbers; every
+# float literal is one here, so --c0 -2.5e-05 and --c0 -inf are values
+_NEGATIVE_NUMBER = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf(inity)?|nan)$", re.I)
 
 
 @functools.cache
@@ -240,6 +236,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True, help=graph_help)
     p.set_defaults(func=_cmd_validate_graph)
 
+    for p in sub.choices.values():
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 
@@ -256,7 +254,7 @@ def run(argv=None) -> int:
         code = "unattainable-target" if unattainable else type(err).__name__
         _emit_error(code, str(err), _context(err))
         return 1
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, ArithmeticError) as err:
         _emit_error(type(err).__name__, str(err))
         return 1
 

@@ -15,6 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .activations import Activation
+from .errors import DomainError
 
 __all__ = [
     "InitScheme",
@@ -48,6 +49,8 @@ class SimConfig:
         for name in ("width", "depth", "trials", "pairs_per_trial"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if self.width < 2:
+            raise ValueError("width must be >= 2 to hold a pair with a given cosine")
         if not abs(self.initial_c) <= 1.0:
             raise ValueError(f"|initial_c| must be <= 1, got {self.initial_c}")
 
@@ -224,6 +227,12 @@ def run_simulation(config: SimConfig, act: Activation, scheme: InitScheme) -> Em
         for layer in range(1, depth + 1):
             x = act.value(_fresh_layer(x, scheme, rng))
             _record_layer(x, all_c, all_q, trial, layer)
+    bad = ~(np.isfinite(all_c) & np.isfinite(all_q)).all(axis=(0, 1))
+    if bad.any():
+        raise DomainError(
+            f"layer {int(np.argmax(bad))}: a propagated vector is zero or overflows, "
+            "so its cosine is undefined"
+        )
     flat_c = all_c.reshape(-1, depth + 1)
     flat_q = all_q.reshape(-1, depth + 1)
     return EmpiricalTrace(

@@ -432,7 +432,7 @@ def kernel_map(params: LocalMapParams, q1: float = 1.0, q2: float = 1.0) -> Kern
         raise DomainError(f"q values must be positive, got {q1}, {q2}")
     phi = params.activation
     sw2, sb2 = params.sigma_w**2, params.sigma_b**2
-    if isinstance(phi, (LReLU, TReLU)):
+    if isinstance(phi, LReLU):
         alpha = phi.alpha
         scale = phi.scale if isinstance(phi, TReLU) else 1.0
         m = scale * scale * (1.0 + alpha * alpha) / 2.0  # E[phi(z)^2]

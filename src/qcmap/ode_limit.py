@@ -2,8 +2,9 @@
 
 The composed map converges, as depth grows with the target c-value at zero
 held fixed, to the flow of dx/dt = sqrt(1 - x^2) - x arccos(x).  Fixed-step
-classical RK4 is enough: the right-hand side is globally Lipschitz on
-[-1, 1], and determinism stays trivial.
+classical RK4 gives the flow: the right-hand side is globally Lipschitz on
+[-1, 1], and determinism stays trivial.  The time to reach a level is an
+integral of 1 / rhs, taken by Gauss-Legendre quadrature.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .kernel_maps import lrelu_c_map
+from .kernel_maps import _leggauss, lrelu_c_map
 from .netgraph import build_vanilla, eval_U
-from .solvers import bisect, solve_tat_lrelu
+from .solvers import solve_tat_lrelu
 
 __all__ = [
     "OdeSolution",
@@ -27,6 +28,9 @@ __all__ = [
     "find_T",
     "verify_convergence",
 ]
+
+# Gauss-Legendre nodes per find_T panel; 20 already reach rounding
+_T_NODES = 40
 
 
 @dataclass(frozen=True)
@@ -55,7 +59,8 @@ def ode_rhs(x):
     if np.any(np.abs(x) > 1.0 + 1e-12):
         raise DomainError(f"ode_rhs: |x| must be <= 1, got {x}")
     x = np.clip(x, -1.0, 1.0)
-    out = np.sqrt(1.0 - x * x) - x * np.arccos(x)
+    # factored: 1 - x*x loses the digits of 1 - x that find_T needs near x = 1
+    out = np.sqrt((1.0 - x) * (1.0 + x)) - x * np.arccos(x)
     return out if out.ndim else float(out)
 
 
@@ -117,43 +122,24 @@ def integrate_psi(c0: float, T: float) -> OdeSolution:
     )
 
 
-def _rk4_step(x: float, h: float) -> float:
-    k1 = ode_rhs(x)
-    k2 = ode_rhs(min(x + 0.5 * h * k1, 1.0))
-    k3 = ode_rhs(min(x + 0.5 * h * k2, 1.0))
-    k4 = ode_rhs(min(x + h * k3, 1.0))
-    return min(x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), 1.0)
+def find_T(eta: float) -> float:
+    """Time T with psi(0, T) = eta: the integral of dx / ode_rhs(x) over [0, eta].
 
-
-def find_T(eta: float, tol: float = 1e-8) -> float:
-    """Time T with psi(0, T) = eta to within tol, by bisection with bracket doubling.
-
-    A single recorded integration brackets eta between two consecutive RK
-    steps; bisection then runs inside that one step, so each trial value
-    costs a single RK4 step instead of a fresh integration.  The one-step
-    local error (~h^5) is far below the requested tolerance.  Bisection
-    stops on the residual psi - eta, which is the time error times
-    dpsi/dt = ode_rhs(eta); that slope falls to ~1e-3 at eta = 0.99, so the
-    residual tolerance is tol * ode_rhs(eta).
+    In u = (1 - x)^(-1/2) it reads int_1^{u_eta} 2 u^-3 / ode_rhs(1 - u^-2) du,
+    whose integrand is smooth and tends to 3 / sqrt(2) as x -> 1.  Gauss-Legendre
+    on the doubling panels [1, 2], [2, 4], ..., [., u_eta] reaches rounding: the
+    nearest singularity, u = 1/sqrt(2) (x = -1), stays a panel width away.
     """
     if not 0.0 < eta < 1.0:
         raise DomainError(f"eta must lie in (0, 1), got {eta}")
-    t_max = 1.0
-    while True:
-        final, times, states = _rk4_states(0.0, t_max, record_every=1)
-        if float(final) >= eta:
-            break
-        t_max *= 2.0
-        if t_max > 2.0**40:  # pragma: no cover - psi(0, t) -> 1
-            raise RuntimeError("failed to bracket eta")
-    states = np.asarray(states, dtype=float)
-    times = np.asarray(times, dtype=float)
-    k = int(np.searchsorted(states, eta))  # states[k-1] < eta <= states[k]
-    t_lo, x_lo = float(times[k - 1]), float(states[k - 1])
-    t_hi = float(times[k])
-    return bisect(
-        lambda t: _rk4_step(x_lo, t - t_lo) - eta, t_lo, t_hi, tol=tol * ode_rhs(eta)
-    )
+    gx, gw = _leggauss(_T_NODES)
+    # u_eta - 1 without cancellation, so T ~ eta holds to rounding for tiny eta
+    width = math.expm1(-0.5 * math.log1p(-eta))
+    lo = 2.0 ** np.arange(max(1, math.ceil(math.log2(1.0 + width))))
+    hi = np.append(lo[1:], 1.0 + width)
+    half = 0.5 * np.append(min(width, 1.0), hi[1:] - lo[1:])
+    u = lo[:, None] + half[:, None] * (gx + 1.0)
+    return float(np.sum(half[:, None] * gw * 2.0 * u**-3 / ode_rhs(1.0 - u**-2)))
 
 
 def verify_convergence(

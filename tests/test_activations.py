@@ -180,3 +180,9 @@ class TestParsing:
     def test_malformed_parameter_rejected(self):
         with pytest.raises(ValueError):
             parse_activation("lrelu:zero")
+
+    @pytest.mark.parametrize("cls", [LReLU, ReLU, TReLU])
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_slope_rejected(self, cls, alpha):
+        with pytest.raises(DomainError):
+            cls(alpha)

@@ -297,6 +297,16 @@ class TestOdeCommand:
         rows = list(csv.reader(io.StringIO(out)))
         assert float(rows[-1][1]) == pytest.approx(0.8, abs=1e-6)
 
+    def test_by_eta_near_one_ends_at_eta(self, capsys):
+        # T(1 - 1e-8) is about 21 211; a wrong time ends far from eta.  At
+        # this T the RK4 step is 2.1 and its first step lands on the clip at
+        # 1, which is still within 1e-7 of eta
+        code, out, _ = invoke(["ode", "--eta", "0.99999999"], capsys)
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert float(rows[-1][0]) == pytest.approx(21210.97, rel=1e-6)
+        assert abs(float(rows[-1][1]) - 0.99999999) <= 1e-7
+
     def test_nan_c0_fails_cleanly(self, capsys):
         code, out, err = invoke(["ode", "--c0", "nan", "--T", "1"], capsys)
         assert code == 1 and out == ""
@@ -503,6 +513,208 @@ class TestGraphFuzz:
             assert tn.candidate_set(g) <= set(tn.oracle_subnetworks(g))
             for r in (lambda v: 1.0 + v, lambda v: lrelu_c_map(0.3, v)):
                 assert eval_M(g, r, 0.0) == tn.oracle_max(g, r, 0.0)
+
+
+def _envelope(err):
+    """The JSON envelope on the last stderr line, parsed strictly."""
+    envelope = json.loads(err.strip().splitlines()[-1], parse_constant=_reject_constant)
+    assert set(envelope) == {"error", "message", "context"}
+    return envelope
+
+
+class TestLeakySlope:
+    SIM = ["--width", "8", "--depth", "2", "--trials", "1", "--pairs", "1"]
+
+    @pytest.mark.parametrize("argv, error", [
+        (["cmap", "--graph", "vanilla:2", "--activation", "lrelu:nan", "--points", "3"],
+         "DomainError"),
+        (["cmap", "--graph", "vanilla:2", "--activation", "lrelu:inf", "--points", "3"],
+         "DomainError"),
+        (["simulate", "--activation", "lrelu:nan", *SIM], "DomainError"),
+        (["solve", "--method", "eoc", "--activation", "lrelu:nan"], "DomainError"),
+        (["cmap", "--graph", "vanilla:2", "--activation", "lrelu:1e200", "--points", "3"],
+         "OverflowError"),
+        # the Monte-Carlo layers overflow before the theory column does
+        (["simulate", "--activation", "lrelu:1e200", *SIM], "DomainError"),
+    ])
+    def test_bad_slope_gives_envelope(self, capsys, argv, error):
+        code, _, err = invoke(argv, capsys)
+        assert code == 1
+        assert _envelope(err)["error"] == error
+
+    @pytest.mark.parametrize("argv", [
+        # one unit cannot hold two vectors with cosine 0
+        ["simulate", "--activation", "relu", "--width", "1", "--depth", "2"],
+        # a dead ReLU layer leaves a zero vector, whose cosine is undefined
+        ["simulate", "--activation", "relu", "--width", "2", "--depth", "6",
+         "--trials", "2", "--pairs", "3"],
+        # the negative branch grows by 1e50 a layer until it overflows
+        ["simulate", "--activation", "lrelu:1e50", "--width", "8", "--depth", "6",
+         "--trials", "1", "--pairs", "1"],
+    ])
+    def test_undefined_statistics_give_envelope(self, capsys, argv):
+        code, out, err = invoke(argv, capsys)
+        assert code == 1 and out == ""
+        _envelope(err)
+
+
+def _float_options():
+    """(subcommand, option, dest, required argv) for every float-typed option."""
+    import argparse
+
+    from qcmap.cli import _build_parser
+
+    subs = next(a for a in _build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    out = []
+    for name, p in subs.choices.items():
+        required = []
+        for a in p._actions:
+            if a.required:
+                required += [a.option_strings[0], a.choices[0] if a.choices else "1"]
+        out += [(name, a.option_strings[0], a.dest, required)
+                for a in p._actions if a.type is float]
+    return out
+
+
+class TestNegativeExponentValues:
+    @pytest.mark.parametrize("name, option, dest, required", _float_options())
+    @pytest.mark.parametrize("value", ["-2.5e-05", "-1E+3", "-.5e1", "-7.", "-inf"])
+    def test_every_float_option_takes_one(self, name, option, dest, required, value):
+        from qcmap.cli import _build_parser
+
+        args = _build_parser().parse_args([name, *required, option, value])
+        assert getattr(args, dest) == float(value)
+
+    def test_the_walk_sees_every_float_option(self):
+        assert [(name, option) for name, option, _, _ in _float_options()] == [
+            ("solve", "--eta"), ("solve", "--tau"), ("solve", "--zeta"),
+            ("solve", "--sigma-b"), ("cmap", "--from"), ("simulate", "--c0"),
+            ("ode", "--eta"), ("ode", "--T"), ("ode", "--c0")]
+
+    def test_simulate_c0(self, capsys):
+        code, out, _ = invoke(
+            ["simulate", "--activation", "trelu:0.2", "--width", "16", "--depth", "2",
+             "--trials", "1", "--pairs", "2", "--c0", "-2.5e-05"], capsys)
+        assert code == 0
+        assert float(list(csv.reader(io.StringIO(out)))[1][1]) == pytest.approx(-2.5e-05)
+
+    def test_solve_sigma_b_reaches_the_solver(self, capsys):
+        code, _, err = invoke(["solve", "--method", "eoc", "--sigma-b", "-1e-3"], capsys)
+        assert code == 1
+        assert "-0.001" in _envelope(err)["message"]
+
+    def test_ode_c0(self, capsys):
+        code, out, _ = invoke(["ode", "--T", "1", "--c0", "-1e-1"], capsys)
+        assert code == 0
+        assert list(csv.reader(io.StringIO(out)))[1] == ["0", "-0.1"]
+
+    def test_a_following_flag_is_not_taken_as_a_value(self, capsys):
+        assert invoke(["ode", "--c0", "--T", "1"], capsys)[0] == 2
+
+
+def _mostly(good, bad):
+    """good nine times in ten, else bad."""
+    return st.integers(0, 9).flatmap(lambda k: bad if k == 9 else good)
+
+
+_NUMBERS = _mostly(st.one_of(
+    st.sampled_from(["0", "-0", "nan", "-nan", "inf", "-inf", "1e300", "-1e300",
+                     "1e-300", "-1e-300", "-2.5e-05", "-1e-3", "1e+3"]),
+    st.floats(-1.0, 1.0).map(repr),
+    st.floats(0.0, 4.0).map(repr),
+    st.floats(allow_nan=False).map(repr),
+), st.text(max_size=3))
+_ACTIVATIONS = st.one_of(
+    _mostly(st.sampled_from(["relu", "tanh", "softplus", "identity", "trelu:0.2"]),
+            st.just("swish")),
+    st.builds("{}:{}".format, st.sampled_from(["lrelu", "trelu"]), _NUMBERS),
+)
+_GRAPHS = st.one_of(
+    st.integers(1, 8).map("vanilla:{}".format),
+    st.builds("resnet:{}:{}{}".format, st.integers(1, 4),
+              st.one_of(st.floats(-1.0, 1.0).map(repr), _NUMBERS),
+              st.sampled_from(["", ":transitions"])),
+    st.sampled_from(["vanilla:x", "mesh:3", "file:/nonexistent.json"]),
+)
+
+
+def _ints(lo, hi):
+    return _mostly(st.integers(lo, hi).map(str), _NUMBERS)
+
+
+@st.composite
+def _options(draw, command, required, optional):
+    """command, then its flags in random order: each required flag is left out
+    one time in ten, each optional one half the time."""
+    chosen = ([o for o in required if draw(st.integers(0, 9)) < 9]
+              + [o for o in optional if draw(st.booleans())])
+    chosen = draw(st.permutations(chosen))
+    return [*command, *(tok for flag, values in chosen for tok in (flag, draw(values)))]
+
+
+@st.composite
+def _simulate_argv(draw):
+    trials = draw(st.integers(1, 3))
+    pairs = draw(st.integers(1, 6 // trials))
+    return draw(_options(["simulate"], [
+        ("--activation", _ACTIVATIONS), ("--width", _ints(2, 64)), ("--depth", _ints(1, 6)),
+        ("--trials", st.just(str(trials))), ("--pairs", st.just(str(pairs))),
+    ], [
+        ("--seed", _ints(0, 2**32)), ("--init", _mostly(st.sampled_from(["gaussian", "suo"]), st.just("haar"))),
+        ("--c0", _NUMBERS),
+    ]))
+
+
+_TARGETS = {"tat-lrelu": "--eta", "tat-smooth": "--tau", "dks": "--zeta"}
+
+
+def _solve_argv(method):
+    """The graph and target flag a method needs, the other flags maybe."""
+    required = [(flag, _NUMBERS) for flag in (_TARGETS.get(method),) if flag]
+    if method != "eoc":
+        required.append(("--graph", _GRAPHS))
+    optional = [(flag, _NUMBERS) for flag in ("--eta", "--tau", "--zeta", "--sigma-b")
+                if flag not in dict(required)]
+    return _options(["solve", "--method", method], required,
+                    optional + [("--activation", _ACTIVATIONS)])
+
+
+_ARGVS = {
+    "solve": _mostly(st.sampled_from(["tat-lrelu", "tat-smooth", "dks", "eoc"]),
+                     st.just("nope")).flatmap(_solve_argv),
+    "cmap": _options(["cmap"], [("--graph", _GRAPHS), ("--activation", _ACTIVATIONS)],
+                     [("--from", _NUMBERS), ("--points", _ints(1, 50))]),
+    "simulate": _simulate_argv(),
+    "ode": _options(["ode"], [], [("--eta", _NUMBERS), ("--T", _NUMBERS), ("--c0", _NUMBERS)]),
+    "validate-graph": _options(["validate-graph"], [("--graph", _GRAPHS)], []),
+}
+
+
+class TestArgvFuzz:
+    """Random argv per subcommand: every outcome is a clean exit 0, 1 or 2."""
+
+    @pytest.mark.parametrize("name, examples", [
+        ("solve", 150), ("cmap", 150), ("simulate", 150), ("ode", 6), ("validate-graph", 30),
+    ])
+    def test_random_argv(self, name, examples):
+        @settings(derandomize=True, deadline=None, max_examples=examples, database=None)
+        @given(_ARGVS[name])
+        def check(argv):
+            code, out, err = _run_captured(argv)
+            assert code in (0, 1, 2), argv
+            if code == 1:
+                _envelope(err)
+            if code != 0 or name == "validate-graph":
+                return
+            if name == "solve":
+                json.loads(out, parse_constant=_reject_constant)
+            else:
+                values = [float(v) for row in list(csv.reader(io.StringIO(out)))[1:]
+                          for v in row]
+                assert values and all(math.isfinite(v) for v in values), argv
+
+        check()
 
 
 class TestUsageErrors:

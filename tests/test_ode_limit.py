@@ -6,10 +6,11 @@ Oracles:
 - [DERIVED] the lower bound rhs(x) >= (2 sqrt(2) / 3) (1 - x)^{3/2} on
   [-1, 1], checked pointwise on a dense grid, which forces finite-time
   arrival at any eta < 1.
-- [DERIVED] step-halving consistency of the integrator and bisection
-  round-trips of the time solver.
-- [INDEPENDENT] the time to reach eta against a Gauss-Legendre quadrature
-  of dt = dx / f(x), which shares no code with the integrator.
+- [DERIVED] step-halving consistency of the integrator; the small-eta
+  expansion T = eta (1 + pi eta / 4) + O(eta^3) of the time to reach eta.
+- [INDEPENDENT] the RK4 flow as the oracle for the quadrature time solver
+  (psi(0, find_T(eta)) = eta), and the time to reach eta against test-local
+  quadratures of dt = dx / f(x) in other variables and rules.
 """
 
 import math
@@ -133,8 +134,9 @@ class TestIntegratePsi:
 class TestFindT:
     @pytest.mark.parametrize("eta", [0.01, 0.3, 0.5, 0.9, 0.99])
     def test_round_trip(self, eta):
+        # the RK4 flow is the independent oracle for the quadrature
         T = find_T(eta)
-        assert abs(psi(0.0, T) - eta) <= 1e-7
+        assert abs(psi(0.0, T) - eta) <= 1e-12
 
     @pytest.mark.parametrize("eta", [0.5, 0.9, 0.95, 0.99])
     def test_time_matches_quadrature_of_inverse_rhs(self, eta):
@@ -148,6 +150,29 @@ class TestFindT:
         f = np.sqrt(1.0 - x * x) - x * np.arccos(x)
         want = 0.5 * (u_hi - 1.0) * float(np.sum(gw * 2.0 * u**-3 / f))
         assert abs(find_T(eta) - want) <= 1e-8
+
+    @pytest.mark.parametrize("eta", [1e-12, 1e-9])
+    def test_small_eta_expansion(self, eta):
+        # 1 / f(x) = 1 + (pi / 2) x + O(x^2), so T = eta + (pi / 4) eta^2 + O(eta^3)
+        want = eta * (1.0 + 0.25 * math.pi * eta)
+        assert abs(find_T(eta) - want) <= 1e-12 * want
+
+    def test_near_one_against_log_variable_simpson(self):
+        # in s = -ln(1 - x), dt = e^-s / f(1 - e^-s) ds; f = sin(th) - th cos(th)
+        # with th = arccos(x), summed as its cancellation-free Taylor series
+        # sum_k (-1)^(k+1) 2k th^(2k+1) / (2k+1)!, composite Simpson in s
+        eta = 1.0 - 1e-8
+        n = 4000
+        s = np.linspace(0.0, -math.log(1.0 - eta), n + 1)
+        eps = np.exp(-s)
+        th = 2.0 * np.arcsin(np.sqrt(0.5 * eps))
+        f = sum((-1) ** (k + 1) * 2 * k * th ** (2 * k + 1) / math.factorial(2 * k + 1)
+                for k in range(1, 20))
+        g = eps / f
+        want = (s[1] - s[0]) / 3.0 * (g[0] + 4.0 * g[1:-1:2].sum()
+                                      + 2.0 * g[2:-1:2].sum() + g[-1])
+        assert want == pytest.approx(21210.97, rel=1e-6)
+        assert abs(find_T(eta) - want) <= 1e-8 * want
 
     def test_tiny_eta_tiny_time(self):
         # rhs(0) = 1, so T ~ eta for small eta
