@@ -5,6 +5,7 @@ the console script).  Checks cover exit codes, the JSON/CSV output contracts,
 the error envelope, and byte-identical determinism.
 """
 
+import argparse
 import contextlib
 import csv
 import io
@@ -22,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 import qcmap
 from qcmap import GraphValidationError, eval_M, lrelu_c_map
-from qcmap.cli import run
+from qcmap.cli import _build_parser, run
 from qcmap.netgraph import graph_from_dict
 
 
@@ -560,10 +561,6 @@ class TestLeakySlope:
 
 def _float_options():
     """(subcommand, option, dest, required argv) for every float-typed option."""
-    import argparse
-
-    from qcmap.cli import _build_parser
-
     subs = next(a for a in _build_parser()._actions
                 if isinstance(a, argparse._SubParsersAction))
     out = []
@@ -581,16 +578,14 @@ class TestNegativeExponentValues:
     @pytest.mark.parametrize("name, option, dest, required", _float_options())
     @pytest.mark.parametrize("value", ["-2.5e-05", "-1E+3", "-.5e1", "-7.", "-inf"])
     def test_every_float_option_takes_one(self, name, option, dest, required, value):
-        from qcmap.cli import _build_parser
-
         args = _build_parser().parse_args([name, *required, option, value])
         assert getattr(args, dest) == float(value)
 
-    def test_the_walk_sees_every_float_option(self):
-        assert [(name, option) for name, option, _, _ in _float_options()] == [
+    def test_the_walk_sees_the_float_options(self):
+        assert {(name, option) for name, option, _, _ in _float_options()} >= {
             ("solve", "--eta"), ("solve", "--tau"), ("solve", "--zeta"),
             ("solve", "--sigma-b"), ("cmap", "--from"), ("simulate", "--c0"),
-            ("ode", "--eta"), ("ode", "--T"), ("ode", "--c0")]
+            ("ode", "--eta"), ("ode", "--T"), ("ode", "--c0")}
 
     def test_simulate_c0(self, capsys):
         code, out, _ = invoke(
@@ -661,7 +656,8 @@ def _simulate_argv(draw):
         ("--activation", _ACTIVATIONS), ("--width", _ints(2, 64)), ("--depth", _ints(1, 6)),
         ("--trials", st.just(str(trials))), ("--pairs", st.just(str(pairs))),
     ], [
-        ("--seed", _ints(0, 2**32)), ("--init", _mostly(st.sampled_from(["gaussian", "suo"]), st.just("haar"))),
+        ("--seed", _ints(0, 2**32)),
+        ("--init", _mostly(st.sampled_from(["gaussian", "suo"]), st.just("haar"))),
         ("--c0", _NUMBERS),
     ]))
 
