@@ -263,13 +263,8 @@ def theory_trace(local_map, c0: float, depth: int) -> np.ndarray:
     return out
 
 
-def compare_to_theory(trace: EmpiricalTrace, g, local_map) -> DeviationReport:
-    """Deviation of empirical mean c values from the iterated local map.
-
-    g may be a NetworkGraph (its nonlinear-layer count sets the depth) or a
-    plain layer count.
-    """
-    depth = g if isinstance(g, int) else g.nonlinear_count()
+def compare_to_theory(trace: EmpiricalTrace, depth: int, local_map) -> DeviationReport:
+    """Deviation of empirical mean c values from the local map iterated depth times."""
     if trace.depth != depth:
         raise ValueError(
             f"trace depth {trace.depth} does not match expected depth {depth}"

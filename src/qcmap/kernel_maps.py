@@ -15,7 +15,6 @@ substitution z2' = c z1 + sqrt(1 - c^2) z2.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -142,10 +141,7 @@ class QuadratureRule:
         kinks1/kinks2 are the non-smooth points of f in its first/second
         argument.  c may be a scalar or 1-D array.
         """
-        c_arr = np.atleast_1d(np.asarray(c, dtype=float))
-        if np.any(np.abs(c_arr) > 1.0 + 1e-12):
-            raise DomainError(f"|c| must be <= 1, got {c}")
-        c_arr = np.clip(c_arr, -1.0, 1.0)
+        c_arr = np.atleast_1d(_clamp_unit(c, "expect2"))
         if kinks1 or kinks2:
             out = np.empty(c_arr.shape)
             degenerate = 1.0 - c_arr * c_arr < 1e-13
@@ -199,13 +195,9 @@ class QuadratureRule:
         return np.einsum("j,ijk,ijk->i", w1, w2, vals)
 
 
-def _default_order() -> int:
-    return int(os.environ.get("QCMAP_QUAD_ORDER", DEFAULT_QUAD_ORDER))
-
-
-def default_rule(order: int | None = None) -> QuadratureRule:
-    """Default 60-point rule; QCMAP_QUAD_ORDER overrides (read on every call)."""
-    return QuadratureRule.gauss_hermite(_default_order() if order is None else order)
+def default_rule() -> QuadratureRule:
+    """The shared DEFAULT_QUAD_ORDER-point rule every map and solver uses."""
+    return QuadratureRule.gauss_hermite(DEFAULT_QUAD_ORDER)
 
 
 @dataclass(frozen=True)
@@ -261,9 +253,14 @@ def lrelu_c_map(alpha: float, c):
     """Closed-form local C map of the rescaled leaky ReLU.
 
     C(c) = c + (1-a)^2 / (pi (1+a^2)) * (sqrt(1-c^2) - c * arccos(c)).
-    Exact at the fixed point c = 1.  Accepts arrays.
+    Exact at the fixed point c = 1.  Accepts arrays.  A slope whose
+    pi (1 + a^2) overflows raises OverflowError; (1 - a)^2 overflows only
+    after it.
     """
-    coef = (1.0 - alpha) ** 2 / (math.pi * (1.0 + alpha * alpha))
+    denom = math.pi * (1.0 + alpha * alpha)
+    if denom == math.inf:
+        raise OverflowError(f"leaky slope {alpha!r} overflows pi (1 + alpha^2)")
+    coef = (1.0 - alpha) ** 2 / denom
     if type(c) is float:
         # scalar path for the solvers' bisections; same domain rules as
         # _clamp_unit, NaN passes through
@@ -279,7 +276,10 @@ def lrelu_c_map(alpha: float, c):
 def lrelu_c_map_derivative(alpha: float, c):
     """dC/dc for the rescaled leaky ReLU: 1 - (1-a)^2 arccos(c) / ((1+a^2) pi)."""
     c = _clamp_unit(c, "lrelu_c_map_derivative")
-    coef = (1.0 - alpha) ** 2 / (math.pi * (1.0 + alpha * alpha))
+    denom = math.pi * (1.0 + alpha * alpha)
+    if denom == math.inf:
+        raise OverflowError(f"leaky slope {alpha!r} overflows pi (1 + alpha^2)")
+    coef = (1.0 - alpha) ** 2 / denom
     out = 1.0 - coef * np.arccos(c)
     return out if out.ndim else float(out)
 
@@ -436,16 +436,18 @@ def kernel_map(params: LocalMapParams, q1: float = 1.0, q2: float = 1.0) -> Kern
         alpha = phi.alpha
         scale = phi.scale if isinstance(phi, TReLU) else 1.0
         m = scale * scale * (1.0 + alpha * alpha) / 2.0  # E[phi(z)^2]
-        denom = math.sqrt((sw2 * m * q1 + sb2) * (sw2 * m * q2 + sb2))
-        a, b = sw2 * m * math.sqrt(q1 * q2) / denom, sb2 / denom
+        t1, t2 = sw2 * m * q1, sw2 * m * q2
+        # ratios before the root: the product of the two variances
+        # overflows for slopes far below those the map itself can take
+        a = math.sqrt(t1 / (t1 + sb2) * (t2 / (t2 + sb2)))
+        b = math.sqrt(sb2 / (t1 + sb2) * (sb2 / (t2 + sb2)))
         return KernelMap("arccos", 0.0, lambda c: a * lrelu_c_map(alpha, c) + b)
     if not phi.smooth:
         rule = default_rule()
         return KernelMap("quadrature", None, lambda c: local_c(params, rule, c, q1, q2))
-    order = _default_order()
-    a1, m1, r1 = _hermite_coefficients(phi, math.sqrt(q1), order)
+    a1, m1, r1 = _hermite_coefficients(phi, math.sqrt(q1), DEFAULT_QUAD_ORDER)
     a2, m2, r2 = (a1, m1, r1) if q2 == q1 else _hermite_coefficients(
-        phi, math.sqrt(q2), order
+        phi, math.sqrt(q2), DEFAULT_QUAD_ORDER
     )
     # measured against the tail left at the cap (floored at 0), so a tail
     # that levels off at the rounding floor of the running sum stops there

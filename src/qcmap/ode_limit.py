@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .kernel_maps import _leggauss, lrelu_c_map
+from .kernel_maps import _clamp_unit, _leggauss, lrelu_c_map
 from .netgraph import build_vanilla, eval_U
 from .solvers import solve_tat_lrelu
 
@@ -55,10 +55,7 @@ class DepthDeviation:
 
 def ode_rhs(x):
     """sqrt(1 - x^2) - x arccos(x); positive on (-1, 1), zero at 1."""
-    x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) > 1.0 + 1e-12):
-        raise DomainError(f"ode_rhs: |x| must be <= 1, got {x}")
-    x = np.clip(x, -1.0, 1.0)
+    x = _clamp_unit(x, "ode_rhs")
     # factored: 1 - x*x loses the digits of 1 - x that find_T needs near x = 1
     out = np.sqrt((1.0 - x) * (1.0 + x)) - x * np.arccos(x)
     return out if out.ndim else float(out)

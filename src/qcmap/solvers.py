@@ -1,9 +1,9 @@
 """Transformation solvers: TAT (leaky-ReLU and smooth), DKS, and EOC.
 
 The supporting kit is a bracketed bisection and a damped Newton iteration
-(finite-difference or analytic Jacobian); the smooth transforms use the
-analytic one in Hermite-coefficient space.
-All solvers are deterministic given their inputs.
+with an analytic Jacobian; the smooth transforms take theirs in
+Hermite-coefficient space.  Every solver works at the one quadrature order
+DEFAULT_QUAD_ORDER and is deterministic given its inputs.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .errors import (
 )
 from .kernel_maps import (
     _HERMITE_CAP,
+    DEFAULT_QUAD_ORDER,
     LocalMapParams,
     QuadratureRule,
     default_rule,
@@ -131,10 +132,10 @@ class EocSolution:
 # numerical kit
 
 
-def bisect(f, lo: float, hi: float, tol: float = 1e-10, max_iter: int = 200) -> float:
+def bisect(f, lo: float, hi: float, tol: float = 1e-10) -> float:
     """Root of a monotone f on [lo, hi] with |f(root)| <= tol.
 
-    Stops early once the interval shrinks below 1e-14.
+    Stops early once the interval shrinks below 1e-14, and after 200 halvings.
     """
     f_lo, f_hi = f(lo), f(hi)
     if f_lo == 0.0:
@@ -147,7 +148,7 @@ def bisect(f, lo: float, hi: float, tol: float = 1e-10, max_iter: int = 200) -> 
             f_lo=f_lo, f_hi=f_hi,
         )
     mid = 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         f_mid = f(mid)
         if abs(f_mid) <= tol or hi - lo <= 1e-14:
@@ -159,35 +160,18 @@ def bisect(f, lo: float, hi: float, tol: float = 1e-10, max_iter: int = 200) -> 
     return mid
 
 
-def solve_nonlinear_system(
-    F,
-    x0,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-    jac=None,
-) -> np.ndarray:
-    """Root of F: R^n -> R^n with ||F(x)||_inf <= tol.
+def solve_nonlinear_system(F, x0, jac) -> np.ndarray:
+    """Root of F: R^n -> R^n with ||F(x)||_inf <= 1e-10.
 
-    Damped Newton with backtracking line search on ||F||_2.  jac(x), when
-    given, returns the n x n Jacobian; otherwise it is taken by central
-    finite differences.
+    Damped Newton with backtracking line search on ||F||_2, for at most 200
+    iterations; jac(x) returns the n x n Jacobian.
     """
     x = np.asarray(x0, dtype=float).copy()
     fx = np.asarray(F(x), dtype=float)
-    n = x.size
-    for it in range(max_iter):
-        if np.max(np.abs(fx)) <= tol:
+    for it in range(200):
+        if np.max(np.abs(fx)) <= 1e-10:
             return x
-        if jac is not None:
-            jx = np.asarray(jac(x), dtype=float)
-        else:
-            jx = np.empty((n, n))
-            for j in range(n):
-                h = 1e-7 * max(1.0, abs(x[j]))
-                xp, xm = x.copy(), x.copy()
-                xp[j] += h
-                xm[j] -= h
-                jx[:, j] = (np.asarray(F(xp)) - np.asarray(F(xm))) / (2.0 * h)
+        jx = np.asarray(jac(x), dtype=float)
         try:
             step = np.linalg.solve(jx, -fx)
         except np.linalg.LinAlgError:
@@ -207,7 +191,7 @@ def solve_nonlinear_system(
             )
         x, fx = x_new, f_new
     raise SolverFailure(
-        f"no convergence after {max_iter} iterations "
+        "no convergence after 200 iterations "
         f"(||F||_inf = {np.max(np.abs(fx)):.3e})",
         last_iterate=x.copy(), residual=fx.copy(),
     )
@@ -222,16 +206,12 @@ def max_c_value(g: NetworkGraph, alpha: float) -> float:
     return eval_M(g, lambda c: lrelu_c_map(alpha, c), 0.0)
 
 
-def solve_tat_lrelu(
-    g: NetworkGraph,
-    eta: float,
-    tol: float = 1e-6,
-) -> TatLreluSolution:
+def solve_tat_lrelu(g: NetworkGraph, eta: float) -> TatLreluSolution:
     """Negative slope alpha with the maximal c-value at 0 equal to eta.
 
-    Bisection on alpha in [0, 1]; the maximal c-value is strictly decreasing
-    in alpha and vanishes at alpha = 1.  eta is checked before the graph,
-    which eval_M validates when it compiles it.
+    Bisection on alpha in [0, 1] to |residual| <= 1e-6; the maximal c-value
+    is strictly decreasing in alpha and vanishes at alpha = 1.  eta is
+    checked before the graph, which eval_M validates when it compiles it.
     """
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must lie strictly inside (0, 1), got {eta}")
@@ -250,7 +230,7 @@ def solve_tat_lrelu(
         iterations += 1
         return max_c_value(g, alpha) - eta
 
-    alpha = bisect(residual, 0.0, 1.0, tol=tol)
+    alpha = bisect(residual, 0.0, 1.0, tol=1e-6)
     return TatLreluSolution(
         alpha=alpha,
         achieved_eta=max_c_value(g, alpha),
@@ -309,7 +289,7 @@ def _deviation(phi: TransformedActivation, targets, order) -> float:
                                 w @ (fp * fp) - targets[1], last])))
 
 
-def _solve_transform(base: Activation, order: int, free_delta: bool, targets):
+def _solve_transform(base: Activation, free_delta: bool, targets):
     """(phi, deviation): phi = gamma (base(alpha z + beta) + delta) with Q(1)
     = 1 and (Q'(1), C'(1)[, C''(1)]) = targets, and its certified deviation.
 
@@ -317,14 +297,14 @@ def _solve_transform(base: Activation, order: int, free_delta: bool, targets):
     With free_delta (TAT) delta is a third unknown; it shifts a_0, so its
     Jacobian column is e_0.  Otherwise (DKS) delta = -a_0, which gives
     C(0) = 0.  Newton runs with an analytic Jacobian on the kink-split nodes
-    of order; _deviation certifies the answer at twice that order.  Past
-    _CERTIFY_TOL it is solved once more at the doubled order, and
-    SolverFailure is raised if it still misses.
+    of DEFAULT_QUAD_ORDER; _deviation certifies the answer at twice that
+    order.  Past _CERTIFY_TOL it is solved once more at the doubled order,
+    and SolverFailure is raised if it still misses.
     """
     k = len(targets)
     starts = [(a0, b0, -float(base.value(b0))) if free_delta else (a0, b0)
               for a0, b0 in _STARTS]
-    for solve_order in (order, 2 * order):
+    for solve_order in (DEFAULT_QUAD_ORDER, 2 * DEFAULT_QUAD_ORDER):
 
         def jet(x):
             """Coefficients of base(alpha z + beta) + delta, then their x
@@ -372,18 +352,12 @@ def _solve_transform(base: Activation, order: int, free_delta: bool, targets):
     )
 
 
-def solve_tat_smooth(
-    g: NetworkGraph,
-    base: Activation,
-    tau: float,
-    rule: QuadratureRule | None = None,
-) -> TatSmoothSolution:
+def solve_tat_smooth(g: NetworkGraph, base: Activation, tau: float) -> TatSmoothSolution:
     """Transform parameters enforcing Q(1)=1, Q'(1)=1, C'(1)=1, C''(1)=tau/m.
 
     m is the linear coefficient of the maximal curvature function, obtained
     by evaluating it at unit local curvature.  _solve_transform solves for
-    (alpha, beta, delta) on the nodes of rule.order (the default order when
-    rule is None); residual_norm is its certified deviation.
+    (alpha, beta, delta); residual_norm is its certified deviation.
     """
     if not base.smooth:
         raise UnsupportedDerivativeError(
@@ -391,27 +365,20 @@ def solve_tat_smooth(
         )
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    order = (rule or default_rule()).order
     m = eval_M(g, lambda x: 1.0 + x, 0.0)  # curvature rule with C''(1) = 1
     target = tau / m
-    phi, deviation = _solve_transform(base, order, True, np.array([1.0, 1.0, target]))
+    phi, deviation = _solve_transform(base, True, np.array([1.0, 1.0, target]))
     return TatSmoothSolution(
         alpha=phi.alpha, beta=phi.beta, gamma=phi.gamma, delta=phi.delta,
         target_local_cpp1=target, residual_norm=deviation, base=base,
     )
 
 
-def solve_dks(
-    g: NetworkGraph,
-    base: Activation,
-    zeta: float,
-    rule: QuadratureRule | None = None,
-) -> DksSolution:
+def solve_dks(g: NetworkGraph, base: Activation, zeta: float) -> DksSolution:
     """Transform parameters enforcing Q(1)=1, Q'(1)=1, C(0)=0, C'(1)=m.
 
     m >= 1 is found by inverting the maximal slope function at zeta.
-    _solve_transform solves for (alpha, beta), with delta = -a_0, on the
-    nodes of rule.order (the default order when rule is None);
+    _solve_transform solves for (alpha, beta), with delta = -a_0;
     residual_norm is its certified deviation.
     """
     if not base.smooth:
@@ -420,13 +387,12 @@ def solve_dks(
         )
     if not zeta > 1.0:
         raise ValueError(f"zeta must exceed 1, got {zeta}")
-    order = (rule or default_rule()).order
 
     def slope_residual(m: float) -> float:
         return eval_M(g, lambda x: m * x, 1.0) - zeta
 
     m = bisect(slope_residual, 1.0, zeta, tol=1e-12)
-    phi, deviation = _solve_transform(base, order, False, np.array([1.0, m]))
+    phi, deviation = _solve_transform(base, False, np.array([1.0, m]))
     return DksSolution(
         alpha=phi.alpha, beta=phi.beta, gamma=phi.gamma, delta=phi.delta,
         target_local_cp1=m, residual_norm=deviation, base=base,
@@ -441,15 +407,12 @@ def solve_dks(
 _Q_MAX = 1e12
 
 
-def _q_fixed_point(
-    params: LocalMapParams, rule: QuadratureRule, q0: float = 1.0,
-    tol: float = 1e-12, max_iter: int = 200,
-) -> float:
-    """Fixed point of the q map from q0, or inf if none is reached.
+def _q_fixed_point(params: LocalMapParams, rule: QuadratureRule) -> float:
+    """Fixed point of the q map from q = 1, or inf if none is reached.
 
-    The iteration stops when a step moves q by at most tol relative to
-    max(1, q): an absolute tol sits below the rounding floor of a large q.
-    It reports inf when q passes _Q_MAX or after max_iter accelerated
+    The iteration stops when a step moves q by at most 1e-12 relative to
+    max(1, q): an absolute tolerance sits below the rounding floor of a
+    large q.  It reports inf when q passes _Q_MAX or after 200 accelerated
     rounds without convergence (tanh takes at most about 20; a softplus
     map near sigma_w = sqrt(2) creeps on for 10^5 steps and more).
     """
@@ -466,17 +429,17 @@ def _q_fixed_point(
 
     # Aitken delta-squared acceleration: the plain iteration contracts
     # arbitrarily slowly near criticality, but its limit is unchanged.
-    q = q0
-    for _ in range(max_iter):
+    q = 1.0
+    for _ in range(200):
         q1 = step(q)
         if not math.isfinite(q1) or q1 > _Q_MAX:
             return math.inf
-        if abs(q1 - q) <= tol * max(1.0, q1):
+        if abs(q1 - q) <= 1e-12 * max(1.0, q1):
             return q1
         q2 = step(q1)
         if not math.isfinite(q2) or q2 > _Q_MAX:
             return math.inf
-        if abs(q2 - q1) <= tol * max(1.0, q2):
+        if abs(q2 - q1) <= 1e-12 * max(1.0, q2):
             return q2
         denom = q2 - 2.0 * q1 + q
         q_acc = q - (q1 - q) ** 2 / denom if denom != 0.0 else q2
@@ -484,16 +447,11 @@ def _q_fixed_point(
     return math.inf
 
 
-def solve_eoc_smooth(
-    base: Activation,
-    sigma_b: float = 0.0,
-    rule: QuadratureRule | None = None,
-    sigma_w_range: tuple[float, float] = (1e-3, 10.0),
-) -> EocSolution:
+def solve_eoc_smooth(base: Activation, sigma_b: float = 0.0) -> EocSolution:
     """sigma_w putting the q fixed point on the edge of chaos: C'(1)=1.
 
     The fixed point is reached by iteration from q = 1; the outer search
-    bisects sigma_w.  At the fixed point Q(q*) = q*, so the slope condition
+    bisects sigma_w on [1e-3, 10].  At the fixed point Q(q*) = q*, so the slope condition
     reduces to sigma_w^2 E[phi'(sqrt(q*) z)^2] = 1.  An affine base (phi''
     = 0) has no isolated edge: at its sigma_w every q is a fixed point
     (sigma_b = 0) or none is (sigma_b > 0), so it is refused.  So is a
@@ -503,7 +461,7 @@ def solve_eoc_smooth(
     """
     if not base.smooth:
         raise UnsupportedDerivativeError("EOC solve only covers smooth activations")
-    rule = rule or default_rule()
+    rule = default_rule()
     if not rule.expect(lambda z: base.deriv2(z) ** 2, kinks=(0.0,)) > 0.0:
         raise UnattainableTargetError(
             "no isolated edge-of-chaos point for an affine activation: where "
@@ -523,7 +481,7 @@ def solve_eoc_smooth(
         params = LocalMapParams(base, sigma_w=sigma_w, sigma_b=sigma_b)
         return _q_fixed_point(params, rule)
 
-    lo, hi = sigma_w_range
+    lo, hi = 1e-3, 10.0
     finite_chi = 0.0  # largest slope met at a finite q*
 
     def residual(sigma_w: float) -> float:

@@ -537,11 +537,26 @@ class TestLeakySlope:
          "OverflowError"),
         # the Monte-Carlo layers overflow before the theory column does
         (["simulate", "--activation", "lrelu:1e200", *SIM], "DomainError"),
+        # pi (1 + alpha^2) overflows while (1 - alpha)^2 does not
+        (["cmap", "--graph", "vanilla:2", "--activation", "lrelu:1e154", "--points", "3"],
+         "OverflowError"),
+        (["cmap", "--graph", "vanilla:2", "--activation", "lrelu:-1e154", "--points", "3"],
+         "OverflowError"),
     ])
     def test_bad_slope_gives_envelope(self, capsys, argv, error):
         code, _, err = invoke(argv, capsys)
         assert code == 1
         assert _envelope(err)["error"] == error
+
+    @pytest.mark.parametrize("slope", ["1e100", "-1e100"])
+    def test_huge_finite_slope_gives_the_relu_map(self, capsys, slope):
+        # the two variances' product overflows from |alpha| ~ 1.6e77, but
+        # the map's coefficient (1 - alpha)^2 / (pi (1 + alpha^2)) is 1/pi
+        argv = ["cmap", "--graph", "vanilla:2", "--points", "41", "--activation"]
+        code, out, err = invoke([*argv, f"lrelu:{slope}"], capsys)
+        assert code == 0 and err == ""
+        assert invoke([*argv, "relu"], capsys) == (0, out, "")
+        assert out.splitlines()[-1] == "1,1"
 
     @pytest.mark.parametrize("argv", [
         # one unit cannot hold two vectors with cosine 0
@@ -767,12 +782,25 @@ class TestConsoleScript:
         # argparse --version exits 0 and prints the version string
         assert result.returncode == 0
 
-    def test_quadrature_order_env_var(self, capsys):
-        env = dict(os.environ, QCMAP_QUAD_ORDER="40")
-        script = (
-            "from qcmap import default_rule; print(default_rule().order)"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env
-        )
-        assert result.stdout.strip() == "40"
+    def test_env_var_does_not_set_the_quadrature_order(self):
+        # the order is a constant of the code, not an input: a 24-point rule
+        # fails the DKS certificate and lets the cmap series exceed C(1) = 1
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.dirname(os.path.dirname(qcmap.__file__)),
+             os.environ.get("PYTHONPATH", "")]))
+        env.pop("QCMAP_QUAD_ORDER", None)
+        for argv in (
+            ["solve", "--method", "dks", "--graph", "vanilla:10",
+             "--activation", "tanh", "--zeta", "1.5"],
+            ["cmap", "--graph", "vanilla:3", "--activation", "tanh"],
+        ):
+            results = [
+                subprocess.run(
+                    [sys.executable, "-c", "from qcmap.cli import main; main()", *argv],
+                    capture_output=True, text=True, env=dict(env, **extra),
+                )
+                for extra in ({}, {"QCMAP_QUAD_ORDER": "24"})
+            ]
+            plain, with_var = ((r.returncode, r.stdout) for r in results)
+            assert plain[0] == 0, argv
+            assert with_var == plain, argv

@@ -54,19 +54,10 @@ class TestQuadratureRule:
     def test_second_moment_is_one(self):
         assert RULE.expect(lambda z: z * z) == pytest.approx(1.0, abs=1e-12)
 
-    def test_order_env_override(self, monkeypatch):
-        monkeypatch.setenv("QCMAP_QUAD_ORDER", "24")
-        assert default_rule().order == 24
-
-    def test_rule_shared_per_order_and_env_read_per_call(self, monkeypatch):
-        monkeypatch.setenv("QCMAP_QUAD_ORDER", "24")
-        first = default_rule()
-        assert default_rule() is first
-        monkeypatch.setenv("QCMAP_QUAD_ORDER", "32")
-        assert default_rule().order == 32
-        assert len(default_rule().nodes) == 32
-        monkeypatch.setenv("QCMAP_QUAD_ORDER", "24")
-        assert default_rule() is first
+    def test_default_rule_is_one_shared_60_point_rule(self):
+        assert default_rule() is default_rule()
+        assert default_rule().order == 60
+        assert len(default_rule().nodes) == 60
 
     def test_invalid_order_rejected(self):
         with pytest.raises(ValueError):
