@@ -100,6 +100,29 @@ class TestSolveNonlinearSystem:
         root = solve_nonlinear_system(lambda v: A @ v - b, (0.0, 0.0), jac=lambda v: A)
         assert root == pytest.approx(np.linalg.solve(A, b), abs=1e-9)
 
+    def test_analytic_jacobian_finds_the_same_root(self):
+        def F(v):
+            x, y = v
+            return np.array([x * x + y - 3.0, x + y * y - 5.0])
+
+        def jac(v):
+            x, y = v
+            return np.array([[2.0 * x, 1.0], [1.0, 2.0 * y]])
+
+        def fd_jac(v, h=1e-6):
+            # central differences, independent of the analytic form
+            cols = []
+            for j in range(len(v)):
+                step = np.zeros(len(v))
+                step[j] = h
+                cols.append((F(v + step) - F(v - step)) / (2 * h))
+            return np.column_stack(cols)
+
+        by_fd = solve_nonlinear_system(F, (1.0, 1.0), jac=fd_jac)
+        by_jac = solve_nonlinear_system(F, (1.0, 1.0), jac=jac)
+        assert by_jac == pytest.approx(by_fd, abs=1e-9)
+        assert np.max(np.abs(F(by_jac))) <= 1e-10
+
     def test_stalled_search_raises(self):
         # gradient is zero everywhere except the (unreachable) minimum
         with pytest.raises(SolverFailure):
