@@ -61,7 +61,6 @@ from .netgraph import (
     SubnetworkRef,
     build_rescaled_resnet,
     build_vanilla,
-    enumerate_all_subnetworks,
     enumerate_maximal_subnetworks,
     eval_M,
     eval_U,

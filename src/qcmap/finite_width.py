@@ -216,17 +216,20 @@ def run_simulation(config: SimConfig, act: Activation, scheme: InitScheme) -> Em
     depth, pairs = config.depth, config.pairs_per_trial
     all_c = np.empty((config.trials, pairs, depth + 1))
     all_q = np.empty((config.trials, pairs, depth + 1))
-    for trial in range(config.trials):
-        rng = np.random.default_rng([config.seed, trial])
-        pairs_x = []
-        for _ in range(pairs):
-            x1, x2 = make_input_pair(config.width, config.initial_c, rng)
-            pairs_x += [x1, x2]
-        x = np.stack(pairs_x, axis=1)  # width x (2 * pairs)
-        _record_layer(x, all_c, all_q, trial, 0)
-        for layer in range(1, depth + 1):
-            x = act.value(_fresh_layer(x, scheme, rng))
-            _record_layer(x, all_c, all_q, trial, layer)
+    # overflow, 0/0 and inf/inf leave non-finite entries; the check after
+    # the loop reports them as one DomainError instead of numpy warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for trial in range(config.trials):
+            rng = np.random.default_rng([config.seed, trial])
+            pairs_x = []
+            for _ in range(pairs):
+                x1, x2 = make_input_pair(config.width, config.initial_c, rng)
+                pairs_x += [x1, x2]
+            x = np.stack(pairs_x, axis=1)  # width x (2 * pairs)
+            _record_layer(x, all_c, all_q, trial, 0)
+            for layer in range(1, depth + 1):
+                x = act.value(_fresh_layer(x, scheme, rng))
+                _record_layer(x, all_c, all_q, trial, layer)
     bad = ~(np.isfinite(all_c) & np.isfinite(all_q)).all(axis=(0, 1))
     if bad.any():
         raise DomainError(

@@ -107,9 +107,10 @@ def _piecewise_1d(kinks, order: int):
 class QuadratureRule:
     """Nodes/weights integrating f against the standard normal density.
 
-    The stored rule is Gauss-Hermite (probabilists' weighting).  The expect
-    methods take optional kink locations and transparently switch to the
-    kink-split composite scheme of matching order when any are given.
+    The stored rule is Gauss-Hermite (probabilists' weighting).  `expect`
+    takes optional kink locations and switches to the kink-split composite
+    scheme of matching order when any are given; `expect2` always uses that
+    composite scheme, split at whatever kinks it is given.
     """
 
     order: int
@@ -142,27 +143,15 @@ class QuadratureRule:
         argument.  c may be a scalar or 1-D array.
         """
         c_arr = np.atleast_1d(_clamp_unit(c, "expect2"))
-        if kinks1 or kinks2:
-            out = np.empty(c_arr.shape)
-            degenerate = 1.0 - c_arr * c_arr < 1e-13
-            for i in np.flatnonzero(degenerate):
-                out[i] = self._expect2_degenerate(f, float(c_arr[i]), kinks1, kinks2)
-            idx = np.flatnonzero(~degenerate)
-            # chunked so the (c, outer-node, inner-node) arrays stay small
-            for start in range(0, idx.size, 8):
-                chunk = idx[start:start + 8]
-                out[chunk] = self._expect2_split_chunk(
-                    f, c_arr[chunk], kinks1, kinks2
-                )
-        else:
-            z = np.asarray(self.nodes)
-            w = np.asarray(self.weights)
-            z1 = z[None, :, None]
-            z2 = z[None, None, :]
-            cc = c_arr[:, None, None]
-            z2p = cc * z1 + np.sqrt(1.0 - cc * cc) * z2
-            vals = f(np.broadcast_to(z1, z2p.shape), z2p)
-            out = np.einsum("i,j,kij->k", w, w, vals)
+        out = np.empty(c_arr.shape)
+        degenerate = 1.0 - c_arr * c_arr < 1e-13
+        for i in np.flatnonzero(degenerate):
+            out[i] = self._expect2_degenerate(f, float(c_arr[i]), kinks1, kinks2)
+        idx = np.flatnonzero(~degenerate)
+        # chunked so the (c, outer-node, inner-node) arrays stay small
+        for start in range(0, idx.size, 8):
+            chunk = idx[start:start + 8]
+            out[chunk] = self._expect2_split_chunk(f, c_arr[chunk], kinks1, kinks2)
         return out if np.ndim(c) else float(out[0])
 
     def _expect2_degenerate(self, f, cval: float, kinks1, kinks2) -> float:
@@ -213,6 +202,9 @@ class LocalMapParams:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and non-negative, got {value}")
+        if self.sigma_w == 0 and self.sigma_b == 0:
+            # the layer's output is identically zero: no C map exists
+            raise ValueError("sigma_w and sigma_b must not both be zero")
 
 
 @dataclass(frozen=True)

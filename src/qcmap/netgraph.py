@@ -19,7 +19,6 @@ single interpreter, ``_run``, evaluates all of them.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -41,7 +40,6 @@ __all__ = [
     "build_rescaled_resnet",
     "validate_graph",
     "enumerate_maximal_subnetworks",
-    "enumerate_all_subnetworks",
     "eval_U",
     "eval_U_with_derivative",
     "eval_M",
@@ -78,9 +76,6 @@ class NetworkGraph:
     nodes: tuple[Node, ...]
     preds: tuple[tuple[int, ...], ...]  # preds[i] lists predecessors of node i
     output: int
-
-    def node(self, node_id: int) -> Node:
-        return self.nodes[node_id]
 
     @property
     def num_nodes(self) -> int:
@@ -212,15 +207,14 @@ def build_rescaled_resnet(
     branch_nonlinear_count: int = 3,
     with_transitions: bool = False,
     final_nonlinear: bool = False,
-    transition_indices: tuple[int, ...] | None = None,
 ) -> NetworkGraph:
     """Chain of residual blocks whose outputs are normalized sums.
 
     Each block computes w * shortcut + sqrt(1 - w^2) * branch, the branch
     holding `branch_nonlinear_count` combined layers.  With transitions, four
-    designated blocks (evenly spaced by default) carry one combined layer on
-    the shortcut, and `final_nonlinear` should normally be set so the graph
-    matches the transition-block accounting.
+    evenly spaced blocks carry one combined layer on the shortcut, and
+    `final_nonlinear` should normally be set so the graph matches the
+    transition-block accounting.
     """
     w = shortcut_weight
     if not -1.0 <= w <= 1.0:
@@ -232,16 +226,11 @@ def build_rescaled_resnet(
     if with_transitions and num_blocks < 4:
         raise ValueError("with_transitions requires at least 4 blocks")
 
-    if with_transitions:
-        if transition_indices is None:
-            # evenly spaced; placement does not change U/M values, only counts
-            transition_indices = tuple(
-                round(i * (num_blocks - 1) / 3) for i in range(4)
-            )
-        if len(set(transition_indices)) != 4:
-            raise ValueError("transition_indices must name 4 distinct blocks")
-    else:
-        transition_indices = ()
+    # four evenly spaced blocks, distinct since num_blocks >= 4; placement
+    # does not change U/M values, only counts
+    transitions = (
+        {round(i * (num_blocks - 1) / 3) for i in range(4)} if with_transitions else set()
+    )
 
     nodes = [Node(0, INPUT)]
     preds: list[tuple[int, ...]] = [()]
@@ -260,7 +249,7 @@ def build_rescaled_resnet(
         for _ in range(branch_nonlinear_count):
             cur = add(NONLINEAR, (add(AFFINE, (cur,)),))
 
-        if b in transition_indices:
+        if b in transitions:
             shortcut_end = add(NONLINEAR, (add(AFFINE, (entry,)),))
         else:
             shortcut_end = entry
@@ -301,52 +290,6 @@ def _whole_graph_ref(g: NetworkGraph) -> SubnetworkRef:
     return SubnetworkRef(entry, g.output, frozenset(range(g.num_nodes)))
 
 
-def enumerate_all_subnetworks(g: NetworkGraph) -> list[SubnetworkRef]:
-    """Exhaustively list all single-entry single-exit connected sub-DAGs.
-
-    Exponential in node count: the tests' oracle for small graphs, never on
-    the evaluation path.  A valid subnetwork has one entry node whose
-    predecessors all lie outside the member set (sum nodes may not be
-    entries, since they would receive more than one external input), all
-    other members fully fed from inside (so all connected to the entry), and
-    a unique exit; no member other than the exit may feed a node outside the
-    set, so the subnetwork exposes a single output.
-    """
-    succ = g.successors()
-    n = g.num_nodes
-    refs = []
-    ids = list(range(n))
-    for r in range(1, n + 1):
-        for combo in itertools.combinations(ids, r):
-            members = frozenset(combo)
-            entries = []
-            ok = True
-            for nid in combo:
-                ps = g.preds[nid]
-                inside = sum(1 for p in ps if p in members)
-                if inside == 0:
-                    entries.append(nid)
-                elif inside != len(ps):
-                    ok = False
-                    break
-            if not ok or len(entries) != 1:
-                continue
-            entry = entries[0]
-            if g.node(entry).kind == SUM and len(g.preds[entry]) > 1:
-                continue
-            exits = [nid for nid in combo if not any(s in members for s in succ[nid])]
-            if len(exits) != 1:
-                continue
-            # single output: no member but the exit may feed the outside
-            if any(
-                nid != exits[0] and any(s not in members for s in succ[nid])
-                for nid in combo
-            ):
-                continue
-            refs.append(SubnetworkRef(entry, exits[0], members))
-    return refs
-
-
 def _immediate_dominators(order, preds) -> list[int]:
     """Immediate dominators in a DAG whose only source is order[0].
 
@@ -373,12 +316,12 @@ def _immediate_dominators(order, preds) -> list[int]:
 def enumerate_maximal_subnetworks(g: NetworkGraph) -> list[SubnetworkRef]:
     """Maximal subnetworks, one per distinct shape, from the graph's structure.
 
-    On a valid graph a subnetwork (as `enumerate_all_subnetworks` defines it)
-    is exactly a pair (e, x) with e dominating x, x post-dominating e and e
-    not a sum; its members are the nodes on e -> x paths.  A pair is kept
-    only when neither end can move: x is the furthest post-dominator of e
-    that e still dominates, and e the earliest non-sum dominator of x that x
-    still post-dominates.  Every other subnetwork is a serial piece of a kept
+    On a valid graph a single-entry single-exit connected sub-DAG is exactly
+    a pair (e, x) with e dominating x, x post-dominating e and e not a sum;
+    its members are the nodes on e -> x paths.  A pair is kept only when
+    neither end can move: x is the furthest post-dominator of e that e still
+    dominates, and e the earliest non-sum dominator of x that x still
+    post-dominates.  Every other subnetwork is a serial piece of a kept
     one (see `eval_M` for why dropping it is exact).
     """
     validate_graph(g)

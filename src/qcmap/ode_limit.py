@@ -67,8 +67,6 @@ def _rk4_states(x0, T: float, record_every: int = 0):
     Returns (final_state, times, states); the trajectory is recorded only
     when record_every > 0 and x0 is scalar.
     """
-    if T < 0:
-        raise DomainError(f"T must be >= 0, got {T}")
     x = np.clip(np.asarray(x0, dtype=float), -1.0, 1.0)
     if T == 0:
         return x, [0.0], [x]
@@ -93,19 +91,25 @@ def _rk4_states(x0, T: float, record_every: int = 0):
     return x, times, states
 
 
+def _checked_start(c0, T: float):
+    """c0 clamped to [-1, 1]; DomainError unless |c0| <= 1 and T is finite and >= 0."""
+    x0 = np.asarray(c0, dtype=float)
+    if not np.all(np.abs(x0) <= 1.0 + 1e-12):  # NaN fails too
+        raise DomainError(f"|c0| must be <= 1, got {c0}")
+    if not (math.isfinite(T) and T >= 0):
+        raise DomainError(f"T must be finite and >= 0, got {T}")
+    return np.clip(x0, -1.0, 1.0)
+
+
 def psi(c0, T: float):
     """Flow value psi(c0, T); c0 may be an array."""
-    x, _, _ = _rk4_states(c0, T)
+    x, _, _ = _rk4_states(_checked_start(c0, T), T)
     return x if np.ndim(x) else float(x)
 
 
 def integrate_psi(c0: float, T: float) -> OdeSolution:
     """Integrate from c0 for time T, recording a sampled trajectory."""
-    if not abs(c0) <= 1.0 + 1e-12:
-        raise DomainError(f"|c0| must be <= 1, got {c0}")
-    if not (math.isfinite(T) and T >= 0):
-        raise DomainError(f"T must be finite and >= 0, got {T}")
-    c0 = min(max(c0, -1.0), 1.0)
+    c0 = float(_checked_start(c0, T))
     h_max = 1e-4 * max(T, 1.0)
     n_steps = max(1, math.ceil(T / h_max)) if T > 0 else 1
     record_every = max(1, n_steps // 1000)

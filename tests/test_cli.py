@@ -773,6 +773,18 @@ class TestParserReuse:
             assert invoke(argv, capsys) == want, argv
 
 
+def _run_script(argv, **env_extra):
+    """Run the console entry point in a fresh interpreter on this checkout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(qcmap.__file__)),
+         os.environ.get("PYTHONPATH", "")]))
+    env.pop("QCMAP_QUAD_ORDER", None)
+    return subprocess.run(
+        [sys.executable, "-c", "from qcmap.cli import main; main()", *argv],
+        capture_output=True, text=True, env=dict(env, **env_extra),
+    )
+
+
 class TestConsoleScript:
     def test_version_via_subprocess(self):
         result = subprocess.run(
@@ -785,22 +797,29 @@ class TestConsoleScript:
     def test_env_var_does_not_set_the_quadrature_order(self):
         # the order is a constant of the code, not an input: a 24-point rule
         # fails the DKS certificate and lets the cmap series exceed C(1) = 1
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [os.path.dirname(os.path.dirname(qcmap.__file__)),
-             os.environ.get("PYTHONPATH", "")]))
-        env.pop("QCMAP_QUAD_ORDER", None)
         for argv in (
             ["solve", "--method", "dks", "--graph", "vanilla:10",
              "--activation", "tanh", "--zeta", "1.5"],
             ["cmap", "--graph", "vanilla:3", "--activation", "tanh"],
         ):
-            results = [
-                subprocess.run(
-                    [sys.executable, "-c", "from qcmap.cli import main; main()", *argv],
-                    capture_output=True, text=True, env=dict(env, **extra),
-                )
-                for extra in ({}, {"QCMAP_QUAD_ORDER": "24"})
-            ]
+            results = [_run_script(argv, **extra)
+                       for extra in ({}, {"QCMAP_QUAD_ORDER": "24"})]
             plain, with_var = ((r.returncode, r.stdout) for r in results)
             assert plain[0] == 0, argv
             assert with_var == plain, argv
+
+    @pytest.mark.parametrize("argv", [
+        # the negative branch overflows to inf, then inf - inf gives nan
+        ["simulate", "--activation", "lrelu:1e50", "--width", "10", "--depth", "40",
+         "--trials", "1", "--pairs", "1"],
+        # a dead ReLU layer: its cosine is 0 / 0
+        ["simulate", "--activation", "relu", "--width", "2", "--depth", "30",
+         "--trials", "1", "--pairs", "1", "--seed", "3", "--c0", "-1"],
+    ])
+    def test_simulate_refusal_writes_only_the_envelope(self, argv):
+        # numpy's floating-point warnings would print source lines first
+        result = _run_script(argv)
+        assert result.returncode == 1 and result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1, result.stderr
+        assert _envelope(lines[0])["error"] == "DomainError"

@@ -416,6 +416,13 @@ class TestLocalMapParams:
         with pytest.raises(ValueError):
             LocalMapParams(Tanh(), **kwargs)
 
+    def test_zero_weight_and_bias_scales_rejected(self):
+        # the layer's output is identically zero, so it has no C map
+        for act in (Tanh(), ReLU()):
+            with pytest.raises(ValueError, match="both be zero"):
+                LocalMapParams(act, sigma_w=0.0, sigma_b=0.0)
+        assert LocalMapParams(Tanh(), sigma_w=0.0, sigma_b=0.1).sigma_b == 0.1
+
 
 @pytest.fixture(scope="module")
 def solved_smooth():

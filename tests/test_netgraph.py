@@ -14,7 +14,6 @@ from qcmap import (
     Node,
     build_rescaled_resnet,
     build_vanilla,
-    enumerate_all_subnetworks,
     enumerate_maximal_subnetworks,
     eval_M,
     eval_U,
@@ -267,16 +266,6 @@ class TestSubnetworks:
     def test_single_layer_single_candidate(self):
         refs = enumerate_maximal_subnetworks(build_vanilla(1))
         assert len(refs) == 1
-
-    def test_exhaustive_matches_oracle_on_random_graphs(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            g = random_small_graph(rng)
-            got = {
-                (ref.entry, ref.exit, ref.members)
-                for ref in enumerate_all_subnetworks(g)
-            }
-            assert got == set(oracle_subnetworks(g))
 
     def test_json_graphs_above_sixteen_nodes_match_builders(self, tmp_path, capsys):
         # written as JSON, a 20-layer chain (41 nodes) and a resnet with

@@ -124,11 +124,18 @@ class TestIntegratePsi:
             integrate_psi(1.5, 1.0)
 
     @pytest.mark.parametrize(
-        "c0, T", [(math.nan, 1.0), (0.0, math.nan), (0.0, math.inf), (0.0, -1.0)]
+        "c0, T",
+        [(math.nan, 1.0), (0.0, math.nan), (0.0, math.inf), (0.0, -1.0), (2.0, 1.0)],
     )
     def test_non_finite_or_negative_inputs_rejected(self, c0, T):
-        with pytest.raises(DomainError):
-            integrate_psi(c0, T)
+        for f in (integrate_psi, psi):
+            with pytest.raises(DomainError):
+                f(c0, T)
+
+    def test_psi_rejects_one_bad_start_in_an_array(self):
+        for bad in (2.0, math.nan):
+            with pytest.raises(DomainError):
+                psi(np.array([0.0, bad, 0.5]), 1.0)
 
 
 class TestFindT:
