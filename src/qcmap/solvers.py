@@ -23,12 +23,10 @@ from .errors import (
 from .kernel_maps import (
     _HERMITE_CAP,
     DEFAULT_QUAD_ORDER,
-    LocalMapParams,
-    QuadratureRule,
-    default_rule,
     lrelu_c_map,
     _hermite_basis,
     _hermite_jet,
+    _piecewise_1d,
 )
 from .netgraph import NetworkGraph, eval_M
 
@@ -135,12 +133,14 @@ class EocSolution:
 def bisect(f, lo: float, hi: float, tol: float = 1e-10) -> float:
     """Root of a monotone f on [lo, hi] with |f(root)| <= tol.
 
-    Stops early once the interval shrinks below 1e-14, and after 200 halvings.
+    An endpoint with |f| <= tol is returned as it is, even without a sign
+    change.  Stops early once the interval shrinks below 1e-14, and after
+    200 halvings.
     """
     f_lo, f_hi = f(lo), f(hi)
-    if f_lo == 0.0:
+    if abs(f_lo) <= tol:
         return lo
-    if f_hi == 0.0:
+    if abs(f_hi) <= tol:
         return hi
     if math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
         raise BracketError(
@@ -403,111 +403,80 @@ def solve_dks(g: NetworkGraph, base: Activation, zeta: float) -> DksSolution:
 # edge of chaos
 
 
-# q* beyond this counts as divergence
-_Q_MAX = 1e12
-
-
-def _q_fixed_point(params: LocalMapParams, rule: QuadratureRule) -> float:
-    """Fixed point of the q map from q = 1, or inf if none is reached.
-
-    The iteration stops when a step moves q by at most 1e-12 relative to
-    max(1, q): an absolute tolerance sits below the rounding floor of a
-    large q.  It reports inf when q passes _Q_MAX or after 200 accelerated
-    rounds without convergence (tanh takes at most about 20; a softplus
-    map near sigma_w = sqrt(2) creeps on for 10^5 steps and more).
-    """
-    # Split the quadrature domain at the origin: for large q the integrand
-    # phi(sqrt(q) z)^2 varies on the scale 1/sqrt(q), which a plain Hermite
-    # grid cannot resolve, while panel endpoints clustered at zero can.
-    phi = params.activation
-    sw2 = params.sigma_w**2
-    sb2 = params.sigma_b**2
-
-    def step(q: float) -> float:
-        s = math.sqrt(max(q, 1e-300))
-        return sw2 * rule.expect(lambda z: phi(s * z) ** 2, kinks=(0.0,)) + sb2
-
-    # Aitken delta-squared acceleration: the plain iteration contracts
-    # arbitrarily slowly near criticality, but its limit is unchanged.
-    q = 1.0
-    for _ in range(200):
-        q1 = step(q)
-        if not math.isfinite(q1) or q1 > _Q_MAX:
-            return math.inf
-        if abs(q1 - q) <= 1e-12 * max(1.0, q1):
-            return q1
-        q2 = step(q1)
-        if not math.isfinite(q2) or q2 > _Q_MAX:
-            return math.inf
-        if abs(q2 - q1) <= 1e-12 * max(1.0, q2):
-            return q2
-        denom = q2 - 2.0 * q1 + q
-        q_acc = q - (q1 - q) ** 2 / denom if denom != 0.0 else q2
-        q = q_acc if (math.isfinite(q_acc) and q_acc > 0.0) else q2
-    return math.inf
+# q* - sigma_b^2 is searched on [1e-12, 1e4], a decade at a time
+_EOC_SPAN = (1e-12, 1e4)
 
 
 def solve_eoc_smooth(base: Activation, sigma_b: float = 0.0) -> EocSolution:
     """sigma_w putting the q fixed point on the edge of chaos: C'(1)=1.
 
-    The fixed point is reached by iteration from q = 1; the outer search
-    bisects sigma_w on [1e-3, 10].  At the fixed point Q(q*) = q*, so the slope condition
-    reduces to sigma_w^2 E[phi'(sqrt(q*) z)^2] = 1.  An affine base (phi''
-    = 0) has no isolated edge: at its sigma_w every q is a fixed point
-    (sigma_b = 0) or none is (sigma_b > 0), so it is refused.  So is a
-    bisection that closes on a jump instead of a root: softplus has
-    E[sigmoid(sqrt(q) z)^2] -> 1/2 from below, so its slope stays under 1
-    wherever q* is finite and reaches 1 only as q* diverges.
+    With A(q) = E[phi(sqrt(q) z)^2] and B(q) = E[phi'(sqrt(q) z)^2], q is a
+    fixed point exactly at sigma_w^2 = (q - sigma_b^2) / A(q), where C'(1)
+    = sigma_w^2 B(q).  So the edge is the root of r(u) = e^u B(q) / A(q) - 1
+    with q = sigma_b^2 + e^u, bisected on the kink-split nodes of
+    DEFAULT_QUAD_ORDER in the first decade of _EOC_SPAN where r reaches 0.
+    At sigma_b = 0 (tanh) r -> 0 from above as q* -> 0, and the span's lower
+    end is returned.  Both conditions are recomputed at twice the order, and
+    a miss past _CERTIFY_TOL raises SolverFailure (tanh from sigma_b ~ 5).
+
+    An affine base (phi'' = 0) has no isolated edge: at its sigma_w every q
+    is a fixed point (sigma_b = 0) or none is (sigma_b > 0), so it is
+    refused.  So is an r that stays negative: softplus has
+    E[sigmoid(sqrt(q) z)^2] -> 1/2 from below, so C'(1) reaches 1 only as q*
+    diverges; max_value is C'(1) at the top of _EOC_SPAN.
     """
     if not base.smooth:
         raise UnsupportedDerivativeError("EOC solve only covers smooth activations")
-    rule = default_rule()
-    if not rule.expect(lambda z: base.deriv2(z) ** 2, kinks=(0.0,)) > 0.0:
+    x, w = _piecewise_1d((0.0,), DEFAULT_QUAD_ORDER)
+    if not w @ base.deriv2(x) ** 2 > 0.0:
         raise UnattainableTargetError(
             "no isolated edge-of-chaos point for an affine activation: where "
             "sigma_w^2 E[phi'^2] = 1 every q is a fixed point (sigma_b = 0) "
             "or none is (sigma_b > 0)"
         )
+    if not (math.isfinite(sigma_b) and sigma_b >= 0):
+        raise ValueError(f"sigma_b must be finite and non-negative, got {sigma_b}")
+    sb2 = sigma_b * sigma_b
 
-    def chi(sigma_w: float, q_star: float) -> float:
-        if not math.isfinite(q_star):
-            return math.inf  # expanding regime, chaotic side
-        s = math.sqrt(max(q_star, 1e-12))
-        return sigma_w**2 * rule.expect(
-            lambda z: base.deriv1(s * z) ** 2, kinks=(0.0,)
-        )
+    def moments(u: float, x, w):
+        """(q, A(q), B(q)) at q = sigma_b^2 + e^u; a phi^2 past the float
+        range (softplus at sigma_b ~ 1e154) gives A = inf and r = -1."""
+        q = sb2 + math.exp(u)
+        y = math.sqrt(q) * x
+        with np.errstate(over="ignore"):
+            return q, w @ base.value(y) ** 2, w @ base.deriv1(y) ** 2
 
-    def q_fixed_point(sigma_w: float) -> float:
-        params = LocalMapParams(base, sigma_w=sigma_w, sigma_b=sigma_b)
-        return _q_fixed_point(params, rule)
+    def residual(u: float) -> float:
+        _, a, b = moments(u, x, w)
+        return math.exp(u) * b / a - 1.0
 
-    lo, hi = 1e-3, 10.0
-    finite_chi = 0.0  # largest slope met at a finite q*
-
-    def residual(sigma_w: float) -> float:
-        nonlocal finite_chi
-        value = chi(sigma_w, q_fixed_point(sigma_w))
-        if math.isinf(value):
-            return 1e6
-        finite_chi = max(finite_chi, value)
-        return value - 1.0
-
+    # past the root the nodes may stop resolving phi'(sqrt(q) z)^2, and r
+    # can turn negative again there (tanh(10 z) near q = 1e4)
+    ends = np.log(np.geomspace(*_EOC_SPAN, 17))
+    for lo, hi in zip(ends[:-1], ends[1:]):
+        if residual(hi) >= -1e-10:
+            break
     try:
-        sigma_w = bisect(residual, lo, hi, tol=1e-10)
+        u = bisect(residual, lo, hi, tol=1e-10)
     except BracketError as err:
         raise UnattainableTargetError(
-            f"no edge-of-chaos point for sigma_w in [{lo}, {hi}]: {err}"
+            f"no edge-of-chaos point for q* - sigma_b^2 in {list(_EOC_SPAN)}: C'(1) "
+            f"at the fixed point does not cross 1 ({1.0 + err.f_hi:.10g} at "
+            f"{math.exp(hi):.3g}), so the edge lies where q* diverges or nears sigma_b^2",
+            max_value=1.0 + err.f_hi,
         ) from err
-    q_star = q_fixed_point(sigma_w)
-    slope = chi(sigma_w, q_star)
-    if not abs(slope - 1.0) <= 1e-8:
-        raise UnattainableTargetError(
-            f"no edge-of-chaos point: C'(1) stays below 1 while q* is finite "
-            f"and q* diverges from sigma_w = {sigma_w:.10g} (largest C'(1) "
-            f"met {finite_chi:.10g})",
-            max_value=finite_chi,
+    q_star, a, _ = moments(u, x, w)
+    sw2 = math.exp(u) / a
+    _, a2, b2 = moments(u, *_piecewise_1d((0.0,), 2 * DEFAULT_QUAD_ORDER))
+    deviation = max(abs(sw2 * b2 - 1.0), abs(sw2 * a2 + sb2 - q_star) / max(1.0, q_star))
+    if not deviation <= _CERTIFY_TOL:
+        raise SolverFailure(
+            f"edge-of-chaos conditions miss by {deviation:.3e} at quadrature order "
+            f"{2 * DEFAULT_QUAD_ORDER} (certificate {_CERTIFY_TOL:g}) at q* = "
+            f"{q_star:.10g}: the nodes do not resolve phi'(sqrt(q*) z)^2",
+            last_iterate=np.array([math.sqrt(sw2), q_star]),
         )
-    return EocSolution(sigma_w=sigma_w, sigma_b=sigma_b, q_fixed_point=q_star)
+    return EocSolution(sigma_w=math.sqrt(sw2), sigma_b=sigma_b, q_fixed_point=q_star)
 
 
 def eoc_lrelu(alpha: float = 0.0) -> EocSolution:

@@ -161,6 +161,17 @@ class TestSolveCommand:
         assert envelope["error"] == "unattainable-target"
         assert envelope["context"]["max_value"] < 1.0
 
+    @pytest.mark.parametrize("sigma_b", ["10", "20"])
+    def test_eoc_uncertified_answer_refused(self, capsys, sigma_b):
+        code, out, err = invoke(
+            ["solve", "--method", "eoc", "--activation", "tanh", "--sigma-b", sigma_b],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        envelope = _envelope(err)
+        assert envelope["error"] == "SolverFailure"
+        assert "certificate" in envelope["message"]
+
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "sol.json"
         code, out, _ = invoke(

@@ -5,6 +5,9 @@ Oracles:
   composition written independently of the library code.
 - [DERIVED] edge-of-chaos constants for tanh, frozen from a trapezoid-rule
   oracle on 400001 points (fixed point solved by damped iteration).
+- [DERIVED] the textbook nested edge-of-chaos method (plain fixed-point
+  iteration of q inside a bisection on sigma_w) on test-side order-120
+  Gauss-Legendre nodes.
 - [TRIVIAL] algebraic identities (slope of identity, zeta = m**L, etc.).
 """
 
@@ -77,6 +80,11 @@ class TestBisect:
 
     def test_decreasing_function(self):
         assert bisect(lambda x: 1.0 - x * x, 0.0, 5.0) == pytest.approx(1.0, abs=1e-10)
+
+    def test_endpoint_within_tol_needs_no_sign_change(self):
+        # |f| <= tol at an end meets the contract without a bracket
+        assert bisect(lambda x: x + 1e-12, 0.0, 1.0, tol=1e-10) == 0.0
+        assert bisect(lambda x: x - 1.0 - 1e-12, 0.0, 1.0, tol=1e-10) == 1.0
 
 
 class TestSolveNonlinearSystem:
@@ -397,7 +405,94 @@ class TestSolveDks:
             solve_dks(build_vanilla(3), ReLU(), 1.5)
 
 
+def _oracle_nodes(order=120, trunc=12.0):
+    """Gauss-Legendre nodes on [-trunc, 0] and [0, trunc], density folded in."""
+    gx, gw = np.polynomial.legendre.leggauss(order)
+    xs, ws = [], []
+    for a, b in ((-trunc, 0.0), (0.0, trunc)):
+        x = 0.5 * (a + b) + 0.5 * (b - a) * gx
+        xs.append(x)
+        ws.append(0.5 * (b - a) * gw * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi))
+    return np.concatenate(xs), np.concatenate(ws)
+
+
+EOC_X, EOC_W = _oracle_nodes()
+
+
+def oracle_eoc_sigma_w(phi, sigma_b):
+    """The textbook nested method: q* by plain iteration of the q map from
+    q = 1 at each trial sigma_w, and bisection of sigma_w on C'(1) = 1."""
+
+    def slope(sigma_w):
+        q = 1.0
+        for _ in range(100000):
+            q_new = sigma_w**2 * (EOC_W @ phi.value(math.sqrt(q) * EOC_X) ** 2) + sigma_b**2
+            if abs(q_new - q) <= 1e-15 * max(1.0, q_new):
+                break
+            q = q_new
+        else:
+            raise AssertionError("q iteration did not settle")
+        return sigma_w**2 * (EOC_W @ phi.deriv1(math.sqrt(q_new) * EOC_X) ** 2)
+
+    lo, hi = 0.5, 4.0
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if slope(mid) < 1.0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def eoc_misses(sol, phi):
+    """|C'(1) - 1| and the relative miss of Q(q*) = q* on the oracle nodes."""
+    s = math.sqrt(sol.q_fixed_point)
+    sw2 = sol.sigma_w**2
+    a = EOC_W @ phi.value(s * EOC_X) ** 2
+    b = EOC_W @ phi.deriv1(s * EOC_X) ** 2
+    q = sol.q_fixed_point
+    return abs(sw2 * b - 1.0), abs(sw2 * a + sol.sigma_b**2 - q) / max(1.0, q)
+
+
+TRANSFORMED_TANH = TransformedActivation(Tanh(), 1.7, 0.3, 1.2, -0.1)
+
+
 class TestSolveEocSmooth:
+    @pytest.mark.parametrize("phi, sigma_b", [
+        *((Tanh(), sb) for sb in (0.01, 0.05, 0.5, 1.5, 3.0)),
+        *((TRANSFORMED_TANH, sb) for sb in (0.0, 0.2, 1.0)),
+    ])
+    def test_matches_the_nested_method(self, phi, sigma_b):
+        sol = solve_eoc_smooth(phi, sigma_b=sigma_b)
+        assert sol.sigma_w == pytest.approx(oracle_eoc_sigma_w(phi, sigma_b), abs=1e-8)
+        assert max(eoc_misses(sol, phi)) <= 1e-9
+
+    def test_tanh_without_bias_sits_at_the_origin(self):
+        # the edge is sigma_w = 1 with q* -> 0: C'(1) -> 1 there from above
+        sol = solve_eoc_smooth(Tanh(), sigma_b=0.0)
+        assert sol.q_fixed_point > 0.0
+        assert sol.sigma_w == pytest.approx(1.0, abs=1e-6)
+        assert max(eoc_misses(sol, Tanh())) <= 1e-9
+
+    def test_scaled_input_is_a_rescaled_edge(self):
+        # tanh(10 h) with (sigma_w, sigma_b) is tanh with (10 sigma_w, 10
+        # sigma_b); near q = 1e4 the nodes no longer resolve tanh(10 z)'s
+        # slope, so only the first sign change of the residual is the edge
+        sol = solve_eoc_smooth(TransformedActivation(Tanh(), 10.0), sigma_b=0.01)
+        ref = solve_eoc_smooth(Tanh(), sigma_b=0.1)
+        assert 10.0 * sol.sigma_w == pytest.approx(ref.sigma_w, abs=1e-8)
+        assert 100.0 * sol.q_fixed_point == pytest.approx(ref.q_fixed_point, rel=1e-7)
+
+    def test_overflowing_fixed_point_is_refused(self):
+        # softplus(sqrt(q) z)^2 leaves the float range: refused, no warning
+        with pytest.raises(UnattainableTargetError, match="diverges"):
+            solve_eoc_smooth(SoftPlus(), sigma_b=1e154)
+
+    @pytest.mark.parametrize("sigma_b", [10.0, 20.0])
+    def test_unresolved_large_bias_is_refused(self, sigma_b):
+        # q* in the hundreds: phi'(sqrt(q*) z)^2 is too narrow for the
+        # order-60 nodes, and the order-120 certificate sees the miss
+        with pytest.raises(SolverFailure, match="certificate") as exc:
+            solve_eoc_smooth(Tanh(), sigma_b=sigma_b)
+        assert all(math.isfinite(v) for v in exc.value.last_iterate)
+
     def test_tanh_small_bias(self):
         # frozen trapezoid-rule oracle: sigma_w = 1.0667830930 at sigma_b = 0.02
         sol = solve_eoc_smooth(Tanh(), sigma_b=0.02)
@@ -426,7 +521,7 @@ class TestSolveEocSmooth:
         with pytest.raises(UnattainableTargetError, match="affine"):
             solve_eoc_smooth(base, sigma_b=sigma_b)
 
-    @pytest.mark.parametrize("sigma_b", [0.0, 0.109961, 0.5])
+    @pytest.mark.parametrize("sigma_b", [0.0, 0.109961, 0.5, 1.0])
     def test_softplus_has_no_edge(self, sigma_b):
         # sigma_w^2 E[sigmoid(sqrt(q*) z)^2] stays below 1 at every finite
         # q* and reaches 1 only as q* diverges, near sigma_w = sqrt(2)

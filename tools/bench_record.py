@@ -10,7 +10,8 @@ the system temp directory, and `perfbench/run.py --trace 0` runs there for
 each workload and seed: pair i runs the parent first when i is even and the
 change first when i is odd, with the same seed on both sides.  Each side
 then gets one traced run (seed 1) for the per-layer metrics, and the
-change's tier-1 suite runs once with --durations=15.
+change's tier-1 suite runs once with -W error::RuntimeWarning and
+--durations=15, as in CI.
 
 The only file written in the repository is --out:
     {git_sha, parent_sha, numpy, cores, seeds, seconds, workloads: {name:
@@ -92,12 +93,13 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
 
 
 def tier1(checkout: Path) -> dict:
-    """Run the tier-1 suite once and keep its counts and slowest tests."""
+    """Run the tier-1 suite once, as CI does (RuntimeWarnings are errors), and
+    keep its counts and slowest tests."""
     env = dict(os.environ, PYTHONPATH="src")
     t0 = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
-         "--durations=15", "-p", "no:cacheprovider"],
+         "-W", "error::RuntimeWarning", "--durations=15", "-p", "no:cacheprovider"],
         cwd=checkout, env=env, capture_output=True, text=True,
     )
     seconds = time.perf_counter() - t0
