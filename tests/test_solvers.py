@@ -443,11 +443,9 @@ def oracle_eoc_sigma_w(phi, sigma_b):
 
 def eoc_misses(sol, phi):
     """|C'(1) - 1| and the relative miss of Q(q*) = q* on the oracle nodes."""
-    s = math.sqrt(sol.q_fixed_point)
-    sw2 = sol.sigma_w**2
-    a = EOC_W @ phi.value(s * EOC_X) ** 2
-    b = EOC_W @ phi.deriv1(s * EOC_X) ** 2
-    q = sol.q_fixed_point
+    q, sw2 = sol.q_fixed_point, sol.sigma_w**2
+    a = EOC_W @ phi.value(math.sqrt(q) * EOC_X) ** 2
+    b = EOC_W @ phi.deriv1(math.sqrt(q) * EOC_X) ** 2
     return abs(sw2 * b - 1.0), abs(sw2 * a + sol.sigma_b**2 - q) / max(1.0, q)
 
 
