@@ -242,11 +242,11 @@ def solve_tat_lrelu(g: NetworkGraph, eta: float) -> TatLreluSolution:
 # smooth transforms (TAT and DKS) in Hermite-coefficient space
 
 
-# Newton starts (alpha, beta); TAT adds delta = -phi(beta).  beta = 0 is
+# Newton start (alpha, beta); TAT adds delta = -phi(beta).  beta = 0 is
 # avoided: for an odd base (tanh) the moments are even in beta, so their
 # beta derivatives vanish there and the Jacobian is singular.  beta < 0
-# first fixes which of tanh's two roots (beta, -beta) is returned.
-_STARTS = ((1.0, -0.5), (1.0, 0.5))
+# fixes which of tanh's two roots (beta, -beta) is returned.
+_START = (1.0, -0.5)
 # largest deviation of the moments, recomputed by direct quadrature at
 # twice the solve's order, that an answer may carry
 _CERTIFY_TOL = 1e-9
@@ -296,60 +296,53 @@ def _solve_transform(base: Activation, free_delta: bool, targets):
     In Hermite-coefficient space gamma = 1 / |a| in closed form (_moments).
     With free_delta (TAT) delta is a third unknown; it shifts a_0, so its
     Jacobian column is e_0.  Otherwise (DKS) delta = -a_0, which gives
-    C(0) = 0.  Newton runs with an analytic Jacobian on the kink-split nodes
-    of DEFAULT_QUAD_ORDER; _deviation certifies the answer at twice that
-    order.  Past _CERTIFY_TOL it is solved once more at the doubled order,
-    and SolverFailure is raised if it still misses.
+    C(0) = 0.  Newton runs once, from _START, with an analytic Jacobian on
+    the kink-split nodes of DEFAULT_QUAD_ORDER; _deviation certifies the
+    answer at twice that order.  SolverFailure is raised when Newton fails
+    or the deviation exceeds _CERTIFY_TOL.
     """
     k = len(targets)
-    starts = [(a0, b0, -float(base.value(b0))) if free_delta else (a0, b0)
-              for a0, b0 in _STARTS]
-    for solve_order in (DEFAULT_QUAD_ORDER, 2 * DEFAULT_QUAD_ORDER):
 
-        def jet(x):
-            """Coefficients of base(alpha z + beta) + delta, then their x
-            derivatives (d/d delta = e_0), and delta."""
-            out = _hermite_jet(base, x[0], x[1], solve_order)
-            if free_delta:
-                out, delta = np.hstack([out, np.eye(len(out), 1)]), x[2]
-            else:
-                out[0, 1:], delta = 0.0, -out[0, 0]
-            out[0, 0] += delta
-            return out, delta
-
-        def residuals(x):
-            return _moments(jet(x)[0][:, 0])[0][:k] - targets
-
-        def jacobian(x):
-            j = jet(x)[0]
-            return _moments(j[:, 0])[1][:k] @ j[:, 1:]
-
-        for x0 in starts:
-            try:
-                x = solve_nonlinear_system(residuals, x0, jac=jacobian)
-                break
-            except SolverFailure as err:
-                failure = err
+    def jet(x):
+        """Coefficients of base(alpha z + beta) + delta, then their x
+        derivatives (d/d delta = e_0), and delta."""
+        out = _hermite_jet(base, x[0], x[1], DEFAULT_QUAD_ORDER)
+        if free_delta:
+            out, delta = np.hstack([out, np.eye(len(out), 1)]), x[2]
         else:
-            raise SolverFailure(
-                f"moment system unsolved from all starting points: {failure}",
-                last_iterate=failure.last_iterate, residual=failure.residual,
-            )
-        a, delta = jet(x)
-        phi = TransformedActivation(
-            base=base, alpha=float(x[0]), beta=float(x[1]),
-            gamma=float(np.sum(a[:, 0] ** 2) ** -0.5), delta=float(delta),
-        )
-        deviation = _deviation(phi, targets, 2 * solve_order)
-        if deviation <= _CERTIFY_TOL:
-            return phi, deviation
-        starts = [tuple(x)] + starts
-    raise SolverFailure(
-        f"transform moments miss their targets by {deviation:.3e} at quadrature "
-        f"order {2 * solve_order} (certificate {_CERTIFY_TOL:g}): the "
-        "Hermite series does not resolve the transform",
-        last_iterate=np.array([phi.alpha, phi.beta, phi.gamma, phi.delta]),
+            out[0, 1:], delta = 0.0, -out[0, 0]
+        out[0, 0] += delta
+        return out, delta
+
+    def residuals(x):
+        return _moments(jet(x)[0][:, 0])[0][:k] - targets
+
+    def jacobian(x):
+        j = jet(x)[0]
+        return _moments(j[:, 0])[1][:k] @ j[:, 1:]
+
+    x0 = _START + (-float(base.value(_START[1])),) if free_delta else _START
+    try:
+        x = solve_nonlinear_system(residuals, x0, jac=jacobian)
+    except SolverFailure as err:
+        raise SolverFailure(
+            f"moment system unsolved from {x0}: {err}",
+            last_iterate=err.last_iterate, residual=err.residual,
+        ) from err
+    a, delta = jet(x)
+    phi = TransformedActivation(
+        base=base, alpha=float(x[0]), beta=float(x[1]),
+        gamma=float(np.sum(a[:, 0] ** 2) ** -0.5), delta=float(delta),
     )
+    deviation = _deviation(phi, targets, 2 * DEFAULT_QUAD_ORDER)
+    if not deviation <= _CERTIFY_TOL:
+        raise SolverFailure(
+            f"transform moments miss their targets by {deviation:.3e} at quadrature "
+            f"order {2 * DEFAULT_QUAD_ORDER} (certificate {_CERTIFY_TOL:g}): the "
+            "Hermite series does not resolve the transform",
+            last_iterate=np.array([phi.alpha, phi.beta, phi.gamma, phi.delta]),
+        )
+    return phi, deviation
 
 
 def solve_tat_smooth(g: NetworkGraph, base: Activation, tau: float) -> TatSmoothSolution:
@@ -357,7 +350,9 @@ def solve_tat_smooth(g: NetworkGraph, base: Activation, tau: float) -> TatSmooth
 
     m is the linear coefficient of the maximal curvature function, obtained
     by evaluating it at unit local curvature.  _solve_transform solves for
-    (alpha, beta, delta); residual_norm is its certified deviation.
+    (alpha, beta, delta) once, at DEFAULT_QUAD_ORDER, and certifies the
+    answer at twice that order or raises SolverFailure; residual_norm is
+    the certified deviation.
     """
     if not base.smooth:
         raise UnsupportedDerivativeError(
@@ -378,8 +373,9 @@ def solve_dks(g: NetworkGraph, base: Activation, zeta: float) -> DksSolution:
     """Transform parameters enforcing Q(1)=1, Q'(1)=1, C(0)=0, C'(1)=m.
 
     m >= 1 is found by inverting the maximal slope function at zeta.
-    _solve_transform solves for (alpha, beta), with delta = -a_0;
-    residual_norm is its certified deviation.
+    _solve_transform solves for (alpha, beta), with delta = -a_0, once, at
+    DEFAULT_QUAD_ORDER, and certifies the answer at twice that order or
+    raises SolverFailure; residual_norm is the certified deviation.
     """
     if not base.smooth:
         raise UnsupportedDerivativeError(

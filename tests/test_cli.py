@@ -125,6 +125,22 @@ class TestSolveCommand:
         assert len(envelope["context"]["last_iterate"]) == 4
         assert all(math.isfinite(v) for v in envelope["context"]["last_iterate"])
 
+    def test_newton_failure_envelope_carries_the_iterate(self, capsys):
+        # C'(1) = 10 on one layer: Newton's line search stalls before the
+        # certificate is reached
+        code, out, err = invoke(
+            ["solve", "--method", "dks", "--graph", "vanilla:1",
+             "--activation", "tanh", "--zeta", "10"],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        envelope = _envelope(err)
+        assert envelope["error"] == "SolverFailure"
+        assert "moment system" in envelope["message"]
+        context = envelope["context"]
+        assert len(context["last_iterate"]) == 2 and len(context["residual"]) == 2
+        assert all(math.isfinite(v) for v in context["last_iterate"])
+
     @pytest.mark.parametrize("doc, argv, error, context", [
         # a graph with no nonlinear node has global slope 1 for every m
         ({"nodes": [{"id": 0, "kind": "input"}, {"id": 1, "kind": "affine"}],

@@ -46,7 +46,7 @@ from qcmap import (
     solve_tat_lrelu,
     solve_tat_smooth,
 )
-from qcmap import solvers
+from qcmap import kernel_maps, solvers
 from qcmap.netgraph import AFFINE, INPUT, NONLINEAR, SUM
 from qcmap.solvers import max_c_value
 
@@ -384,6 +384,19 @@ class TestSolveDks:
         assert s.qp1 == pytest.approx(1.0, abs=1e-6)
         assert s.cp1 == pytest.approx(2.0, abs=1e-6)
         assert s.c0 == pytest.approx(0.0, abs=1e-6)
+
+    def test_refusal_builds_no_nodes_past_the_certificate(self, monkeypatch):
+        # one order-60 solve and one order-120 certificate: a refusal builds
+        # no node set of a higher order
+        for cached in (kernel_maps._hermite_basis, kernel_maps._piecewise_1d,
+                       kernel_maps._leggauss):
+            cached.cache_clear()
+        built, leggauss = [], kernel_maps._leggauss
+        monkeypatch.setattr(kernel_maps, "_leggauss",
+                            lambda order: built.append(order) or leggauss(order))
+        with pytest.raises(SolverFailure, match="quadrature order 120 "):
+            solve_dks(build_vanilla(2), Tanh(), 4.0)
+        assert built and max(built) <= 120
 
     def test_global_map_hits_targets(self):
         depth = 6

@@ -15,10 +15,14 @@ change's tier-1 suite runs once with -W error::RuntimeWarning and
 
 The only file written in the repository is --out:
     {git_sha, parent_sha, numpy, cores, seeds, seconds, workloads: {name:
-     {metric: {parent: [median, q1, q3], change: [...], wins, pairs}},
-     failed, runs}, trace: {name: {metric: {parent, change}}}, tier1}
+     {metric: {parent: [median, q1, q3], change: [...], wins, pairs,
+     verdict}}, failed, runs}, trace: {name: {metric: {parent, change}}},
+     tier1}
 where wins counts the pairs in which the change is better in the direction
-BENCHMARK.json gives the metric.  Nothing under perfbench/ or BENCHMARK.json
+BENCHMARK.json gives the metric.  verdict judges the metric against its
+BENCHMARK.json bound: "worse" when the change's median is past the bound,
+else "unresolved" when the parent's quartile spread exceeds the bound and
+not every change run beats every parent run, else "ok".  Nothing under perfbench/ or BENCHMARK.json
 is changed; the benchmark's own command and bounds are used as they are.
 """
 
@@ -76,18 +80,32 @@ def quartiles(values: list[float]) -> list[float]:
     return [med, q1, q3]
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per-metric medians, quartiles and wins over the pairs of runs."""
+def verdict(parent: list[float], change: list[float], sign: float, bound: float) -> str:
+    """"worse", "unresolved" or "ok" for one metric; sign is +1 when higher
+    is better.  Both thresholds are bound times the parent's median."""
+    (p_med, p_q1, p_q3), c_med = quartiles(parent), quartiles(change)[0]
+    if sign * (p_med - c_med) > bound * abs(p_med):
+        return "worse"
+    all_beat = min(sign * c for c in change) > max(sign * p for p in parent)
+    if p_q3 - p_q1 > bound * abs(p_med) and not all_beat:
+        return "unresolved"
+    return "ok"
+
+
+def summarize(runs: list[dict], metrics: dict[str, dict]) -> dict:
+    """Per-metric medians, quartiles, wins and verdict over the pairs of runs;
+    metrics maps each name to its BENCHMARK.json entry."""
     out = {}
-    for name, direction in better.items():
+    for name, spec in metrics.items():
         parent = [r["parent"]["metrics"][name]["value"] for r in runs]
         change = [r["change"]["metrics"][name]["value"] for r in runs]
-        sign = 1.0 if direction == "higher" else -1.0
+        sign = 1.0 if spec["better"] == "higher" else -1.0
         out[name] = {
             "parent": quartiles(parent),
             "change": quartiles(change),
             "wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
             "pairs": len(runs),
+            "verdict": verdict(parent, change, sign, spec["bound"]),
         }
     return out
 
@@ -127,7 +145,7 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
     workloads = [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]
     seeds = parse_seeds(args.seeds)
@@ -154,7 +172,7 @@ def main(argv=None) -> int:
                     f"{side} {pair[side]['metrics']['req_per_s']['value']:.2f} req/s"
                     for side in ("parent", "change")), file=sys.stderr, flush=True)
             record["workloads"][workload] = dict(
-                summarize(runs, better),
+                summarize(runs, metrics),
                 failed={side: [r[side]["failed"] for r in runs] for side in sides},
                 attempted={side: [r[side]["attempted"] for r in runs] for side in sides},
                 runs=[{"seed": r["seed"], "first": r["first"],
