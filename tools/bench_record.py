@@ -22,8 +22,9 @@ where wins counts the pairs in which the change is better in the direction
 BENCHMARK.json gives the metric.  verdict judges the metric against its
 BENCHMARK.json bound: "worse" when the change's median is past the bound,
 else "unresolved" when the parent's quartile spread exceeds the bound and
-not every change run beats every parent run, else "ok".  Nothing under perfbench/ or BENCHMARK.json
-is changed; the benchmark's own command and bounds are used as they are.
+not every change run beats every parent run, else "ok".  Nothing under
+perfbench/ or BENCHMARK.json is changed; the benchmark's own command and
+bounds are used as they are.
 """
 
 from __future__ import annotations
@@ -81,8 +82,8 @@ def quartiles(values: list[float]) -> list[float]:
 
 
 def verdict(parent: list[float], change: list[float], sign: float, bound: float) -> str:
-    """"worse", "unresolved" or "ok" for one metric; sign is +1 when higher
-    is better.  Both thresholds are bound times the parent's median."""
+    """One metric's verdict, "worse", "unresolved" or "ok"; sign is +1 when
+    higher is better.  Both thresholds are bound times the parent's median."""
     (p_med, p_q1, p_q3), c_med = quartiles(parent), quartiles(change)[0]
     if sign * (p_med - c_med) > bound * abs(p_med):
         return "worse"
