@@ -1,9 +1,12 @@
 """Transformation solvers: TAT (leaky-ReLU and smooth), DKS, and EOC.
 
-The supporting kit is a bracketed bisection and a damped Newton iteration
-with an analytic Jacobian; the smooth transforms take theirs in
-Hermite-coefficient space.  Every solver works at the one quadrature order
-DEFAULT_QUAD_ORDER and is deterministic given its inputs.
+The supporting kit is a bracketed root finder (bisect: false position
+with the Anderson-Bjorck scaling and a halving guard, superlinear on the
+smooth residuals here) and a damped Newton iteration with an analytic
+Jacobian that gives up once its residual stops halving; the smooth
+transforms take theirs in Hermite-coefficient space.  Every solver works at
+the one quadrature order DEFAULT_QUAD_ORDER and is deterministic given its
+inputs.
 """
 
 from __future__ import annotations
@@ -113,16 +116,20 @@ class DksSolution(_TransformSolution):
 
 @dataclass(frozen=True)
 class EocSolution:
+    """deviation is the certified miss of a smooth solve; a closed form
+    (leaky ReLU) has none."""
+
     sigma_w: float
     sigma_b: float
     q_fixed_point: float
+    deviation: float | None = None
 
     def to_dict(self) -> dict:
         return {
             "method": "eoc",
             "parameters": {"sigma_w": self.sigma_w, "sigma_b": self.sigma_b},
             "targets": {"q_fixed_point": self.q_fixed_point},
-            "residuals": {},
+            "residuals": {} if self.deviation is None else {"deviation": self.deviation},
         }
 
 
@@ -134,8 +141,11 @@ def bisect(f, lo: float, hi: float, tol: float = 1e-10) -> float:
     """Root of a monotone f on [lo, hi] with |f(root)| <= tol.
 
     An endpoint with |f| <= tol is returned as it is, even without a sign
-    change.  Stops early once the interval shrinks below 1e-14, and after
-    200 halvings.
+    change.  Inside the bracket each step is false position with the
+    Anderson-Bjorck scaling of the end kept twice (Illinois' 1/2 when that
+    factor is not positive), which converges superlinearly; a halving step
+    follows whenever three steps in a row have not halved the bracket.
+    Stops once the bracket is narrower than 1e-14, and after 200 steps.
     """
     f_lo, f_hi = f(lo), f(hi)
     if abs(f_lo) <= tol:
@@ -147,30 +157,61 @@ def bisect(f, lo: float, hi: float, tol: float = 1e-10) -> float:
             f"no sign change on [{lo}, {hi}]: f(lo)={f_lo}, f(hi)={f_hi}",
             f_lo=f_lo, f_hi=f_hi,
         )
-    mid = 0.5 * (lo + hi)
+    # b is the newest point (lo at the start) and a the bracket's other end,
+    # whose value the scaling shrinks; best is the point of least |f|
+    a, f_a, b, f_b = hi, f_hi, lo, f_lo
+    best = min((abs(f_lo), lo), (abs(f_hi), hi))
+    slow = 0  # steps in a row that have not halved the bracket
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if abs(f_mid) <= tol or hi - lo <= 1e-14:
-            return mid
-        if math.copysign(1.0, f_mid) == math.copysign(1.0, f_lo):
-            lo, f_lo = mid, f_mid
+        left, right = min(a, b), max(a, b)
+        c = b - f_b * (b - a) / (f_b - f_a)
+        if slow >= 3 or math.isnan(c):  # NaN: an end value is infinite
+            c = 0.5 * (a + b)
+        # a point closer to an end than half the stopping width moves in, so
+        # next to a root that |f| <= tol cannot resolve the bracket closes
+        c = min(max(c, left + 5e-15), right - 5e-15)
+        f_c = f(c)
+        if abs(f_c) <= tol:
+            return c
+        best = min(best, (abs(f_c), c))
+        if math.copysign(1.0, f_c) == math.copysign(1.0, f_b):
+            m = 1.0 - f_c / f_b
+            f_a *= m if m > 0.0 else 0.5
         else:
-            hi = mid
-    return mid
+            a, f_a = b, f_b
+        b, f_b = c, f_c
+        if abs(b - a) <= 1e-14:
+            break
+        slow = slow + 1 if abs(b - a) > 0.5 * (right - left) else 0
+    return best[1]
+
+
+# Newton iterations over which ||F||_inf must halve
+_STALL = 5
 
 
 def solve_nonlinear_system(F, x0, jac) -> np.ndarray:
     """Root of F: R^n -> R^n with ||F(x)||_inf <= 1e-10.
 
     Damped Newton with backtracking line search on ||F||_2, for at most 200
-    iterations; jac(x) returns the n x n Jacobian.
+    iterations; jac(x) returns the n x n Jacobian.  SolverFailure is raised
+    when the line search stalls, or once ||F||_inf has not halved over
+    _STALL iterations (every certified transform of the benchmark's solve
+    decks and of tier-1 halves it within 4).
     """
     x = np.asarray(x0, dtype=float).copy()
     fx = np.asarray(F(x), dtype=float)
+    norms = []  # ||F||_inf at each iterate
     for it in range(200):
-        if np.max(np.abs(fx)) <= 1e-10:
+        norms.append(np.max(np.abs(fx)))
+        if norms[-1] <= 1e-10:
             return x
+        if it >= _STALL and norms[-1] > 0.5 * norms[-1 - _STALL]:
+            raise SolverFailure(
+                f"||F||_inf = {norms[-1]:.3e} at iteration {it} has not halved "
+                f"in {_STALL} iterations",
+                last_iterate=x.copy(), residual=fx.copy(),
+            )
         jx = np.asarray(jac(x), dtype=float)
         try:
             step = np.linalg.solve(jx, -fx)
@@ -209,9 +250,11 @@ def max_c_value(g: NetworkGraph, alpha: float) -> float:
 def solve_tat_lrelu(g: NetworkGraph, eta: float) -> TatLreluSolution:
     """Negative slope alpha with the maximal c-value at 0 equal to eta.
 
-    Bisection on alpha in [0, 1] to |residual| <= 1e-6; the maximal c-value
-    is strictly decreasing in alpha and vanishes at alpha = 1.  eta is
-    checked before the graph, which eval_M validates when it compiles it.
+    bisect on alpha in [0, 1] to |residual| <= 1e-6; the maximal c-value
+    is strictly decreasing in alpha and vanishes at alpha = 1.
+    bisection_iterations counts the residual evaluations, one eval_M pass
+    each.  eta is checked before the graph, which eval_M validates when it
+    compiles it.
     """
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must lie strictly inside (0, 1), got {eta}")
@@ -372,7 +415,12 @@ def solve_tat_smooth(g: NetworkGraph, base: Activation, tau: float) -> TatSmooth
 def solve_dks(g: NetworkGraph, base: Activation, zeta: float) -> DksSolution:
     """Transform parameters enforcing Q(1)=1, Q'(1)=1, C(0)=0, C'(1)=m.
 
-    m >= 1 is found by inverting the maximal slope function at zeta.
+    m >= 1 inverts the maximal slope function M(m) = eval_M(g, m x, 1) at
+    zeta: with m = e^u, bisect finds the root of log M - log zeta on [0, log
+    zeta], which is linear in u on a vanilla chain (M = m^L).  It is
+    computed as log1p((M - zeta) / zeta), so its tolerance 1e-12 / zeta
+    holds |M - zeta| <= 1e-12 to first order.  Without a sign change the
+    BracketError carries M - zeta at m = 1 and at m = zeta.
     _solve_transform solves for (alpha, beta), with delta = -a_0, once, at
     DEFAULT_QUAD_ORDER, and certifies the answer at twice that order or
     raises SolverFailure; residual_norm is the certified deviation.
@@ -384,10 +432,19 @@ def solve_dks(g: NetworkGraph, base: Activation, zeta: float) -> DksSolution:
     if not zeta > 1.0:
         raise ValueError(f"zeta must exceed 1, got {zeta}")
 
-    def slope_residual(m: float) -> float:
-        return eval_M(g, lambda x: m * x, 1.0) - zeta
+    def slope(m: float) -> float:
+        return eval_M(g, lambda x: m * x, 1.0)
 
-    m = bisect(slope_residual, 1.0, zeta, tol=1e-12)
+    try:
+        u = bisect(lambda u: math.log1p((slope(math.exp(u)) - zeta) / zeta),
+                   0.0, math.log(zeta), tol=1e-12 / zeta)
+    except BracketError as err:
+        f_lo, f_hi = slope(1.0) - zeta, slope(zeta) - zeta
+        raise BracketError(
+            f"global slope minus zeta has no sign change for m in [1, {zeta}]: "
+            f"{f_lo} at m = 1, {f_hi} at m = zeta", f_lo=f_lo, f_hi=f_hi,
+        ) from err
+    m = math.exp(u)
     phi, deviation = _solve_transform(base, False, np.array([1.0, m]))
     return DksSolution(
         alpha=phi.alpha, beta=phi.beta, gamma=phi.gamma, delta=phi.delta,
@@ -409,11 +466,12 @@ def solve_eoc_smooth(base: Activation, sigma_b: float = 0.0) -> EocSolution:
     With A(q) = E[phi(sqrt(q) z)^2] and B(q) = E[phi'(sqrt(q) z)^2], q is a
     fixed point exactly at sigma_w^2 = (q - sigma_b^2) / A(q), where C'(1)
     = sigma_w^2 B(q).  So the edge is the root of r(u) = e^u B(q) / A(q) - 1
-    with q = sigma_b^2 + e^u, bisected on the kink-split nodes of
+    with q = sigma_b^2 + e^u, found by bisect on the kink-split nodes of
     DEFAULT_QUAD_ORDER in the first decade of _EOC_SPAN where r reaches 0.
     At sigma_b = 0 (tanh) r -> 0 from above as q* -> 0, and the span's lower
-    end is returned.  Both conditions are recomputed at twice the order, and
-    a miss past _CERTIFY_TOL raises SolverFailure (tanh from sigma_b ~ 5).
+    end is returned.  Both conditions are recomputed at twice the order; the
+    larger miss is the solution's deviation, and a miss past _CERTIFY_TOL
+    raises SolverFailure (tanh from sigma_b ~ 3.55).
 
     An affine base (phi'' = 0) has no isolated edge: at its sigma_w every q
     is a fixed point (sigma_b = 0) or none is (sigma_b > 0), so it is
@@ -472,7 +530,8 @@ def solve_eoc_smooth(base: Activation, sigma_b: float = 0.0) -> EocSolution:
             f"{q_star:.10g}: the nodes do not resolve phi'(sqrt(q*) z)^2",
             last_iterate=np.array([math.sqrt(sw2), q_star]),
         )
-    return EocSolution(sigma_w=math.sqrt(sw2), sigma_b=sigma_b, q_fixed_point=q_star)
+    return EocSolution(sigma_w=math.sqrt(sw2), sigma_b=sigma_b, q_fixed_point=q_star,
+                       deviation=deviation)
 
 
 def eoc_lrelu(alpha: float = 0.0) -> EocSolution:

@@ -69,6 +69,16 @@ class TestSolveCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["parameters"]["sigma_w"] == pytest.approx(math.sqrt(2.0))
+        assert payload["residuals"] == {}
+
+    def test_eoc_smooth_reports_its_deviation(self, capsys):
+        code, out, _ = invoke(
+            ["solve", "--method", "eoc", "--activation", "tanh", "--sigma-b", "0.2"], capsys
+        )
+        assert code == 0
+        residuals = json.loads(out, parse_constant=_reject_constant)["residuals"]
+        assert set(residuals) == {"deviation"}
+        assert 0.0 <= residuals["deviation"] <= 1e-9
 
     def test_dks_json(self, capsys):
         code, out, _ = invoke(

@@ -66,9 +66,78 @@ def oracle_vanilla_c0(alpha, depth):
     return c
 
 
+def counted(f):
+    """f, and the list of points at which it was evaluated."""
+    points = []
+
+    def wrapped(x):
+        points.append(x)
+        return f(x)
+
+    return wrapped, points
+
+
+def halving_evaluations(f, lo, hi, tol=1e-10):
+    """Evaluations plain halving makes, with bisect's stopping rules: the
+    reference for its halving guard."""
+    f_lo, evaluations = f(lo), 2
+    if abs(f_lo) <= tol or abs(f(hi)) <= tol:
+        return evaluations
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        evaluations += 1
+        if abs(f_mid) <= tol or hi - lo <= 1e-14:
+            break
+        if math.copysign(1.0, f_mid) == math.copysign(1.0, f_lo):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return evaluations
+
+
 class TestBisect:
     def test_finds_cosine_root(self):
         assert bisect(math.cos, 0.0, 2.0) == pytest.approx(math.pi / 2, abs=1e-9)
+
+    @pytest.mark.parametrize("f, lo, hi, root, most", [
+        (math.cos, 0.0, 2.0, math.pi / 2, 9),  # plain halving: 33
+        (lambda x: 1.0 - x * x, 0.0, 5.0, 1.0, 14),  # plain halving: 38
+    ])
+    def test_superlinear_evaluation_count(self, f, lo, hi, root, most):
+        g, points = counted(f)
+        assert bisect(g, lo, hi) == pytest.approx(root, abs=1e-10)
+        assert len(points) <= most
+
+    @pytest.mark.parametrize("k, r", [(10, 0.3), (30, 0.8)])
+    def test_halving_guard_on_a_convex_residual(self, k, r):
+        # x^k - r^k keeps false position on one side of the root, and the
+        # Anderson-Bjorck factor 1 - f(c)/f(b) nears 0 there: unguarded, it
+        # spends all 200 steps short of the root
+        f = lambda x: x**k - r**k
+        g, points = counted(f)
+        root = bisect(g, 0.0, 1.0)
+        assert abs(f(root)) <= 1e-10
+        assert len(points) <= 3 * halving_evaluations(f, 0.0, 1.0)
+
+    def test_halving_guard_on_a_dyadic_root(self):
+        # plain halving lands on 0.5 at its first midpoint (3 evaluations)
+        g, points = counted(lambda x: x**10 - 0.5**10)
+        assert bisect(g, 0.0, 1.0) == pytest.approx(0.5, abs=1e-8)
+        assert len(points) <= 12
+
+    def test_infinite_end_value(self):
+        # an overflowing residual (DKS's global slope on a deep chain) makes
+        # the false-position point NaN: that step halves instead
+        f = lambda x: math.inf if x > 1.0 else x - 0.5
+        assert bisect(f, 0.0, 2.0) == pytest.approx(0.5, abs=1e-10)
+
+    def test_unreachable_tolerance_closes_the_bracket(self):
+        # cos has no float root, so |f| <= 0 never holds: the steps next to
+        # the root close the bracket instead of halving it down to 1e-14
+        g, points = counted(math.cos)
+        assert bisect(g, 0.0, 2.0, tol=0.0) == pytest.approx(math.pi / 2, abs=1e-15)
+        assert len(points) <= 10  # plain halving: 51
 
     def test_exact_root_at_endpoint(self):
         assert bisect(lambda x: x - 1.0, 1.0, 3.0) == 1.0
@@ -130,6 +199,33 @@ class TestSolveNonlinearSystem:
         by_jac = solve_nonlinear_system(F, (1.0, 1.0), jac=jac)
         assert by_jac == pytest.approx(by_fd, abs=1e-9)
         assert np.max(np.abs(F(by_jac))) <= 1e-10
+
+    def test_slow_progress_is_refused(self):
+        # x^2 + 0.01 has no root: ||F|| creeps towards 0.01 and stops
+        # halving long before the line search stalls (320 evaluations)
+        g, points = counted(lambda v: np.array([v[0] ** 2 + 0.01]))
+        with pytest.raises(SolverFailure, match="has not halved") as exc:
+            solve_nonlinear_system(g, (10.0,), jac=lambda v: np.array([[2.0 * v[0]]]))
+        assert len(points) <= 60
+        assert exc.value.residual == pytest.approx([0.01], abs=1e-3)
+        assert len(exc.value.last_iterate) == 1
+
+    @pytest.mark.parametrize("solve, target", [(solve_dks, 10.0), (solve_tat_smooth, 15.0)])
+    def test_transform_refusal_is_bounded(self, monkeypatch, solve, target):
+        # one layer asked for C'(1) = 10 or C''(1) = 15: Newton cannot reach
+        # the moments and is refused after a few iterations, not when the
+        # line search stalls (1 496 and 4 130 residuals)
+        evaluations = []
+
+        def counting(F, x0, jac):
+            g, points = counted(F)
+            evaluations.append(points)
+            return solve_nonlinear_system(g, x0, jac=jac)
+
+        monkeypatch.setattr(solvers, "solve_nonlinear_system", counting)
+        with pytest.raises(SolverFailure, match="moment system unsolved.*has not halved"):
+            solve(build_vanilla(1), Tanh(), target)
+        assert len(evaluations) == 1 and len(evaluations[0]) <= 80
 
     def test_stalled_search_raises(self):
         # gradient is zero everywhere except the (unreachable) minimum
@@ -197,6 +293,17 @@ class TestSolveTatLrelu:
     def test_determinism(self):
         g = build_vanilla(7)
         assert solve_tat_lrelu(g, 0.6) == solve_tat_lrelu(g, 0.6)
+
+    @pytest.mark.parametrize("eta", [0.2, 0.5, 0.7])
+    @pytest.mark.parametrize("graph", [
+        build_vanilla(10), build_vanilla(200), build_rescaled_resnet(50, 0.5),
+        build_rescaled_resnet(25, 0.3, with_transitions=True),
+    ])
+    def test_residual_count(self, graph, eta):
+        # plain halving took 19-23 residuals, one eval_M pass each
+        sol = solve_tat_lrelu(graph, eta)
+        assert max_c_value(graph, sol.alpha) == pytest.approx(eta, abs=1e-6)
+        assert sol.bisection_iterations <= 12
 
     def test_invalid_graph_reported_after_eta(self):
         # the graph is validated once, when eval_M compiles it, so a bad
@@ -409,6 +516,23 @@ class TestSolveDks:
             c = local_c(p, rule, c, 1.0, 1.0)
         assert c == pytest.approx(0.0, abs=1e-7)
 
+    @pytest.mark.parametrize("zeta", [1.01, 2.0, 20.0, 5778.55])
+    @pytest.mark.parametrize("graph", [
+        build_vanilla(87), build_vanilla(200), build_rescaled_resnet(50, 0.5),
+        build_rescaled_resnet(25, 0.3, with_transitions=True),
+    ])
+    def test_slope_passes(self, monkeypatch, graph, zeta):
+        # log M(e^u) is linear on a chain and close to it on a resnet; the
+        # slope took 42-54 eval_M passes by halving.  zeta = 5778.55 makes
+        # vanilla:200's M overflow over most of the bracket
+        passes = []
+        monkeypatch.setattr(solvers, "eval_M", lambda *a: passes.append(a) or eval_M(*a))
+        m = solve_dks(graph, SoftPlus(), zeta).target_local_cp1
+        assert len(passes) <= 16
+        # |M - zeta| <= 1e-12 at zeta near 1; at large zeta one ulp of m
+        # moves M by far more than 1e-12 (3e-10 on vanilla:87 at 5778.55)
+        assert abs(eval_M(graph, lambda x: m * x, 1.0) - zeta) <= 1e-12 * zeta
+
     def test_zeta_not_above_one_rejected(self):
         with pytest.raises(ValueError):
             solve_dks(build_vanilla(3), Tanh(), 1.0)
@@ -576,3 +700,12 @@ class TestSolutionSerialization:
         d = eoc_lrelu(0.2).to_dict()
         assert d["method"] == "eoc"
         assert d["parameters"]["sigma_b"] == 0.0
+        # a closed form has no certificate
+        assert d["residuals"] == {}
+
+    def test_smooth_eoc_dict_reports_its_deviation(self):
+        sol = solve_eoc_smooth(Tanh(), sigma_b=0.2)
+        d = sol.to_dict()
+        assert set(d) == {"method", "parameters", "targets", "residuals"}
+        assert d["residuals"] == {"deviation": sol.deviation}
+        assert 0.0 <= sol.deviation <= 1e-9
