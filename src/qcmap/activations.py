@@ -71,10 +71,11 @@ class Identity(Activation):
 
 @dataclass(frozen=True)
 class LReLU(Activation):
-    """max(x, 0) + alpha * min(x, 0)."""
+    """scale * (max(x, 0) + alpha * min(x, 0)); scale is 1 except for TReLU."""
 
     alpha: float = 0.0
     smooth: ClassVar[bool] = False
+    scale: ClassVar[float] = 1.0
 
     def __post_init__(self):
         if not math.isfinite(self.alpha):
@@ -85,11 +86,11 @@ class LReLU(Activation):
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
-        return np.maximum(x, 0.0) + self.alpha * np.minimum(x, 0.0)
+        return self.scale * (np.maximum(x, 0.0) + self.alpha * np.minimum(x, 0.0))
 
     def deriv1(self, x):
         x = np.asarray(x, dtype=float)
-        return np.where(x >= 0.0, 1.0, self.alpha)
+        return self.scale * np.where(x >= 0.0, 1.0, self.alpha)
 
     def deriv2(self, x):
         raise UnsupportedDerivativeError(
@@ -104,19 +105,11 @@ class ReLU(LReLU):
 
 @dataclass(frozen=True)
 class TReLU(LReLU):
-    """Leaky ReLU rescaled by sqrt(2 / (1 + alpha^2)) so that Q(q) = q."""
+    """Leaky ReLU whose scale is sqrt(2 / (1 + alpha^2)), so that Q(q) = q."""
 
     @property
-    def scale(self) -> float:
+    def scale(self) -> float:  # type: ignore[override]
         return math.sqrt(2.0 / (1.0 + self.alpha * self.alpha))
-
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.scale * (np.maximum(x, 0.0) + self.alpha * np.minimum(x, 0.0))
-
-    def deriv1(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.scale * np.where(x >= 0.0, 1.0, self.alpha)
 
 
 @dataclass(frozen=True)

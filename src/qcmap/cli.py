@@ -107,11 +107,8 @@ def _cmd_solve(args) -> int:
         payload = solution.to_dict()
     elif args.method == "eoc":
         act = parse_activation(args.activation)
-        if act.smooth:
-            solution = solve_eoc_smooth(act, sigma_b=args.sigma_b)
-        else:
-            solution = eoc_lrelu(getattr(act, "alpha", 0.0))
-        payload = solution.to_dict()
+        solve = solve_eoc_smooth if act.smooth else eoc_lrelu
+        payload = solve(act, sigma_b=args.sigma_b).to_dict()
         payload["activation"] = args.activation
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown method {args.method}")

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .activations import Activation, LReLU, TReLU
+from .activations import Activation, LReLU
 from .errors import DomainError, UnsupportedDerivativeError
 from .netgraph import NetworkGraph, eval_U
 
@@ -241,18 +241,22 @@ def _scaled_kinks(phi: Activation, scale: float):
     return tuple(sorted({0.0, *(k / scale for k in phi.kinks())}))
 
 
-def lrelu_c_map(alpha: float, c):
-    """Closed-form local C map of the rescaled leaky ReLU.
-
-    C(c) = c + (1-a)^2 / (pi (1+a^2)) * (sqrt(1-c^2) - c * arccos(c)).
-    Exact at the fixed point c = 1.  Accepts arrays.  A slope whose
-    pi (1 + a^2) overflows raises OverflowError; (1 - a)^2 overflows only
-    after it.
-    """
+def _lrelu_coef(alpha: float) -> float:
+    """(1 - a)^2 / (pi (1 + a^2)); OverflowError once pi (1 + a^2) overflows,
+    which happens before (1 - a)^2 does."""
     denom = math.pi * (1.0 + alpha * alpha)
     if denom == math.inf:
         raise OverflowError(f"leaky slope {alpha!r} overflows pi (1 + alpha^2)")
-    coef = (1.0 - alpha) ** 2 / denom
+    return (1.0 - alpha) ** 2 / denom
+
+
+def lrelu_c_map(alpha: float, c):
+    """Closed-form local C map of the rescaled leaky ReLU.
+
+    C(c) = c + _lrelu_coef(a) * (sqrt(1-c^2) - c * arccos(c)).  Exact at the
+    fixed point c = 1.  Accepts arrays.
+    """
+    coef = _lrelu_coef(alpha)
     if type(c) is float:
         # scalar path for the solvers' bisections; same domain rules as
         # _clamp_unit, NaN passes through
@@ -266,13 +270,9 @@ def lrelu_c_map(alpha: float, c):
 
 
 def lrelu_c_map_derivative(alpha: float, c):
-    """dC/dc for the rescaled leaky ReLU: 1 - (1-a)^2 arccos(c) / ((1+a^2) pi)."""
+    """dC/dc for the rescaled leaky ReLU: 1 - _lrelu_coef(a) arccos(c)."""
     c = _clamp_unit(c, "lrelu_c_map_derivative")
-    denom = math.pi * (1.0 + alpha * alpha)
-    if denom == math.inf:
-        raise OverflowError(f"leaky slope {alpha!r} overflows pi (1 + alpha^2)")
-    coef = (1.0 - alpha) ** 2 / denom
-    out = 1.0 - coef * np.arccos(c)
+    out = 1.0 - _lrelu_coef(alpha) * np.arccos(c)
     return out if out.ndim else float(out)
 
 
@@ -286,26 +286,29 @@ def local_q(params: LocalMapParams, rule: QuadratureRule, q: float) -> float:
     return params.sigma_w**2 * e + params.sigma_b**2
 
 
+def _pair_expectation(context: str, f, params: LocalMapParams, rule: QuadratureRule,
+                      c, q1: float, q2: float):
+    """E[f(sqrt(q1) z1) f(sqrt(q2) z2')] at correlation c (broadcasting) and
+    sqrt(Q(q1) Q(q2)), shared by local_c and local_c_derivative."""
+    c = _clamp_unit(c, context)
+    if not (q1 > 0 and q2 > 0):
+        raise DomainError(f"q values must be positive, got {q1}, {q2}")
+    phi = params.activation
+    s1, s2 = math.sqrt(q1), math.sqrt(q2)
+    num = rule.expect2(lambda z1, z2: f(s1 * z1) * f(s2 * z2), c,
+                       kinks1=_scaled_kinks(phi, s1), kinks2=_scaled_kinks(phi, s2))
+    return num, math.sqrt(local_q(params, rule, q1) * local_q(params, rule, q2))
+
+
 def local_c(params: LocalMapParams, rule: QuadratureRule, c, q1: float, q2: float):
     """Local C map at correlation c and input q values q1, q2.
 
     (sigma_w^2 E[phi(sqrt(q1) z1) phi(sqrt(q2) z2')] + sigma_b^2)
     normalized by sqrt(Q(q1) Q(q2)).  Broadcasts over c.
     """
-    c = _clamp_unit(c, "local_c")
-    if not (q1 > 0 and q2 > 0):
-        raise DomainError(f"q values must be positive, got {q1}, {q2}")
-    phi = params.activation
-    s1, s2 = math.sqrt(q1), math.sqrt(q2)
-    num = rule.expect2(
-        lambda z1, z2: phi.value(s1 * z1) * phi.value(s2 * z2),
-        c,
-        kinks1=_scaled_kinks(phi, s1),
-        kinks2=_scaled_kinks(phi, s2),
-    )
-    num = params.sigma_w**2 * num + params.sigma_b**2
-    denom = math.sqrt(local_q(params, rule, q1) * local_q(params, rule, q2))
-    out = num / denom
+    num, denom = _pair_expectation("local_c", params.activation.value, params, rule,
+                                   c, q1, q2)
+    out = (params.sigma_w**2 * num + params.sigma_b**2) / denom
     return out if np.ndim(out) else float(out)
 
 
@@ -329,18 +332,8 @@ def local_c_derivative(
         raise UnsupportedDerivativeError(
             "second C-map derivative undefined for piecewise-linear activations"
         )
-    c = _clamp_unit(c, "local_c_derivative")
-    if not (q1 > 0 and q2 > 0):
-        raise DomainError(f"q values must be positive, got {q1}, {q2}")
-    s1, s2 = math.sqrt(q1), math.sqrt(q2)
-    d = (lambda x: phi.deriv1(x)) if order == 1 else (lambda x: phi.deriv2(x))
-    num = rule.expect2(
-        lambda z1, z2: d(s1 * z1) * d(s2 * z2),
-        c,
-        kinks1=_scaled_kinks(phi, s1),
-        kinks2=_scaled_kinks(phi, s2),
-    )
-    denom = math.sqrt(local_q(params, rule, q1) * local_q(params, rule, q2))
+    d = phi.deriv1 if order == 1 else phi.deriv2
+    num, denom = _pair_expectation("local_c_derivative", d, params, rule, c, q1, q2)
     out = params.sigma_w**2 * (q1 * q2) ** (order / 2.0) / denom * num
     return out if np.ndim(out) else float(out)
 
@@ -426,8 +419,7 @@ def kernel_map(params: LocalMapParams, q1: float = 1.0, q2: float = 1.0) -> Kern
     sw2, sb2 = params.sigma_w**2, params.sigma_b**2
     if isinstance(phi, LReLU):
         alpha = phi.alpha
-        scale = phi.scale if isinstance(phi, TReLU) else 1.0
-        m = scale * scale * (1.0 + alpha * alpha) / 2.0  # E[phi(z)^2]
+        m = phi.scale * phi.scale * (1.0 + alpha * alpha) / 2.0  # E[phi(z)^2]
         t1, t2 = sw2 * m * q1, sw2 * m * q2
         # ratios before the root: the product of the two variances
         # overflows for slopes far below those the map itself can take

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .activations import Activation, TransformedActivation
+from .activations import Activation, LReLU, TransformedActivation
 from .errors import (
     BracketError,
     SolverFailure,
@@ -26,8 +26,8 @@ from .errors import (
 from .kernel_maps import (
     _HERMITE_CAP,
     DEFAULT_QUAD_ORDER,
+    LocalMapParams,
     lrelu_c_map,
-    _hermite_basis,
     _hermite_jet,
     _piecewise_1d,
 )
@@ -320,16 +320,19 @@ def _moments(a):
     return values, 2.0 * (aa - values[:, None] * a) / s
 
 
-def _deviation(phi: TransformedActivation, targets, order) -> float:
-    """Largest miss of Q(1) = 1 and of (Q'(1), C'(1)[, C''(1)]) = targets by
-    direct quadrature on the nodes of _hermite_basis(order), with C(0) = 0
-    (as the mean) when C''(1) is not a target: no series, so both the
-    truncation and the quadrature error of the solve show."""
-    x, w, _ = _hermite_basis(order)
-    f, fp = phi.value(x), phi.deriv1(x)
-    last = w @ phi.deriv2(x) ** 2 - targets[2] if len(targets) == 3 else w @ f
-    return float(np.max(np.abs([w @ (f * f) - 1.0, w @ (f * fp * x) - targets[0],
-                                w @ (fp * fp) - targets[1], last])))
+def _certify(misses, subject: str, detail: str, last_iterate) -> float:
+    """The certificate TAT, DKS and EOC share: misses(x, w), an answer's
+    largest miss on the kink-split nodes of twice DEFAULT_QUAD_ORDER, is its
+    deviation; past _CERTIFY_TOL SolverFailure is raised."""
+    order = 2 * DEFAULT_QUAD_ORDER
+    deviation = float(misses(*_piecewise_1d((0.0,), order)))
+    if not deviation <= _CERTIFY_TOL:
+        raise SolverFailure(
+            f"{subject} by {deviation:.3e} at quadrature order {order} "
+            f"(certificate {_CERTIFY_TOL:g}){detail}",
+            last_iterate=np.array(last_iterate),
+        )
+    return deviation
 
 
 def _solve_transform(base: Activation, free_delta: bool, targets):
@@ -340,7 +343,7 @@ def _solve_transform(base: Activation, free_delta: bool, targets):
     With free_delta (TAT) delta is a third unknown; it shifts a_0, so its
     Jacobian column is e_0.  Otherwise (DKS) delta = -a_0, which gives
     C(0) = 0.  Newton runs once, from _START, with an analytic Jacobian on
-    the kink-split nodes of DEFAULT_QUAD_ORDER; _deviation certifies the
+    the kink-split nodes of DEFAULT_QUAD_ORDER; _certify certifies the
     answer at twice that order.  SolverFailure is raised when Newton fails
     or the deviation exceeds _CERTIFY_TOL.
     """
@@ -377,14 +380,18 @@ def _solve_transform(base: Activation, free_delta: bool, targets):
         base=base, alpha=float(x[0]), beta=float(x[1]),
         gamma=float(np.sum(a[:, 0] ** 2) ** -0.5), delta=float(delta),
     )
-    deviation = _deviation(phi, targets, 2 * DEFAULT_QUAD_ORDER)
-    if not deviation <= _CERTIFY_TOL:
-        raise SolverFailure(
-            f"transform moments miss their targets by {deviation:.3e} at quadrature "
-            f"order {2 * DEFAULT_QUAD_ORDER} (certificate {_CERTIFY_TOL:g}): the "
-            "Hermite series does not resolve the transform",
-            last_iterate=np.array([phi.alpha, phi.beta, phi.gamma, phi.delta]),
-        )
+
+    def misses(x, w):
+        # Q(1) = 1, (Q'(1), C'(1)[, C''(1)]) = targets and, without C''(1),
+        # C(0) = 0 as the mean: no series, so truncation and quadrature show
+        f, fp = phi.value(x), phi.deriv1(x)
+        last = w @ phi.deriv2(x) ** 2 - targets[2] if k == 3 else w @ f
+        return np.max(np.abs([w @ (f * f) - 1.0, w @ (f * fp * x) - targets[0],
+                              w @ (fp * fp) - targets[1], last]))
+
+    deviation = _certify(misses, "transform moments miss their targets",
+                         ": the Hermite series does not resolve the transform",
+                         [phi.alpha, phi.beta, phi.gamma, phi.delta])
     return phi, deviation
 
 
@@ -418,8 +425,11 @@ def solve_dks(g: NetworkGraph, base: Activation, zeta: float) -> DksSolution:
     m >= 1 inverts the maximal slope function M(m) = eval_M(g, m x, 1) at
     zeta: with m = e^u, bisect finds the root of log M - log zeta on [0, log
     zeta], which is linear in u on a vanilla chain (M = m^L).  It is
-    computed as log1p((M - zeta) / zeta), so its tolerance 1e-12 / zeta
-    holds |M - zeta| <= 1e-12 to first order.  Without a sign change the
+    computed as log1p((M - zeta) / zeta) with tolerance 1e-12 / zeta, and
+    d log M / du is at most L, the nonlinear-node count, so |M - zeta| <=
+    max(1e-12, 1e-14 L zeta) to first order: the tolerance where float
+    spacing allows it, else bisect's 1e-14 width stop in u (one ulp of m
+    moves M by about L zeta 1.1e-16).  Without a sign change the
     BracketError carries M - zeta at m = 1 and at m = zeta.
     _solve_transform solves for (alpha, beta), with delta = -a_0, once, at
     DEFAULT_QUAD_ORDER, and certifies the answer at twice that order or
@@ -488,8 +498,7 @@ def solve_eoc_smooth(base: Activation, sigma_b: float = 0.0) -> EocSolution:
             "sigma_w^2 E[phi'^2] = 1 every q is a fixed point (sigma_b = 0) "
             "or none is (sigma_b > 0)"
         )
-    if not (math.isfinite(sigma_b) and sigma_b >= 0):
-        raise ValueError(f"sigma_b must be finite and non-negative, got {sigma_b}")
+    LocalMapParams(base, sigma_b=sigma_b)  # refuses a negative or non-finite sigma_b
     sb2 = sigma_b * sigma_b
 
     def moments(u: float, x, w):
@@ -521,27 +530,29 @@ def solve_eoc_smooth(base: Activation, sigma_b: float = 0.0) -> EocSolution:
         ) from err
     q_star, a, _ = moments(u, x, w)
     sw2 = math.exp(u) / a
-    _, a2, b2 = moments(u, *_piecewise_1d((0.0,), 2 * DEFAULT_QUAD_ORDER))
-    deviation = max(abs(sw2 * b2 - 1.0), abs(sw2 * a2 + sb2 - q_star) / max(1.0, q_star))
-    if not deviation <= _CERTIFY_TOL:
-        raise SolverFailure(
-            f"edge-of-chaos conditions miss by {deviation:.3e} at quadrature order "
-            f"{2 * DEFAULT_QUAD_ORDER} (certificate {_CERTIFY_TOL:g}) at q* = "
-            f"{q_star:.10g}: the nodes do not resolve phi'(sqrt(q*) z)^2",
-            last_iterate=np.array([math.sqrt(sw2), q_star]),
-        )
+
+    def misses(x, w):
+        _, a2, b2 = moments(u, x, w)
+        return max(abs(sw2 * b2 - 1.0), abs(sw2 * a2 + sb2 - q_star) / max(1.0, q_star))
+
+    deviation = _certify(misses, "edge-of-chaos conditions miss",
+                         f" at q* = {q_star:.10g}: the nodes do not resolve "
+                         "phi'(sqrt(q*) z)^2", [math.sqrt(sw2), q_star])
     return EocSolution(sigma_w=math.sqrt(sw2), sigma_b=sigma_b, q_fixed_point=q_star,
                        deviation=deviation)
 
 
-def eoc_lrelu(alpha: float = 0.0) -> EocSolution:
+def eoc_lrelu(phi: LReLU = LReLU(), sigma_b: float = 0.0) -> EocSolution:
     """Edge of chaos for leaky ReLUs needs no solve.
 
-    Scaling the raw leaky ReLU by sigma_w = sqrt(2 / (1 + alpha^2)) yields
-    Q(q) = q and C'(1) = 1 directly (the rescaled-ReLU normalization).
+    sigma_w = sqrt(2 / (1 + alpha^2)) / phi.scale yields Q(q) = q and C'(1)
+    = 1 (TReLU's scale is that factor, so its sigma_w is 1).  sigma_b > 0 is
+    refused as for an affine activation: Q(q) = q + sigma_b^2 at the edge.
     """
-    return EocSolution(
-        sigma_w=math.sqrt(2.0 / (1.0 + alpha * alpha)),
-        sigma_b=0.0,
-        q_fixed_point=1.0,
-    )
+    LocalMapParams(phi, sigma_b=sigma_b)  # refuses a negative or non-finite sigma_b
+    if sigma_b > 0:
+        raise UnattainableTargetError(
+            "no edge-of-chaos point for a leaky ReLU with sigma_b > 0: C'(1) does not "
+            "depend on q, and where it is 1 the q map q + sigma_b^2 has no fixed point")
+    sigma_w = math.sqrt(2.0 / (1.0 + phi.alpha * phi.alpha)) / phi.scale
+    return EocSolution(sigma_w=sigma_w, sigma_b=0.0, q_fixed_point=1.0)

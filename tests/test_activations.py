@@ -27,6 +27,17 @@ class TestValues:
         a = TReLU(0.5)
         assert a.scale == math.sqrt(2.0 / 1.25)
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.2, 0.5, 1.0])
+    def test_trelu_is_a_scaled_lrelu(self, alpha):
+        # TReLU overrides only scale: its value and slope are scale times the
+        # leaky ReLU's, bit for bit, signed zeros and huge inputs included
+        x = np.array([-1e300, -3.5, -1e-300, -0.0, 0.0, 1e-300, 0.7, 1e300])
+        t, raw = TReLU(alpha), LReLU(alpha)
+        for method in ("value", "deriv1"):
+            got, want = getattr(t, method)(x), t.scale * getattr(raw, method)(x)
+            assert got.tobytes() == want.tobytes()
+        assert LReLU.scale == ReLU.scale == 1.0
+
     def test_trelu_negative_branch(self):
         # sqrt(2/1.25) * 0.5 * (-2)
         got = eval_activation(TReLU(0.5), -2.0)

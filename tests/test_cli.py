@@ -71,6 +71,26 @@ class TestSolveCommand:
         assert payload["parameters"]["sigma_w"] == pytest.approx(math.sqrt(2.0))
         assert payload["residuals"] == {}
 
+    @pytest.mark.parametrize("spec, sigma_w", [
+        ("lrelu:0.2", math.sqrt(2.0 / 1.04)), ("trelu:0.5", 1.0), ("trelu:0", 1.0),
+    ])
+    def test_eoc_leaky_relu_family(self, capsys, spec, sigma_w):
+        code, out, _ = invoke(["solve", "--method", "eoc", "--activation", spec], capsys)
+        assert code == 0
+        assert json.loads(out)["parameters"] == {"sigma_w": sigma_w, "sigma_b": 0.0}
+
+    @pytest.mark.parametrize("spec", ["relu", "lrelu:0.2", "trelu:0.5"])
+    def test_eoc_leaky_relu_refuses_a_bias(self, capsys, spec):
+        argv = ["solve", "--method", "eoc", "--activation", spec, "--sigma-b"]
+        code, out, err = invoke(argv + ["0.5"], capsys)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "unattainable-target"
+        for bad in ("-0.5", "inf", "nan"):
+            code, out, err = invoke(argv + [bad], capsys)
+            _, _, smooth = invoke(argv[:4] + ["tanh", "--sigma-b", bad], capsys)
+            assert code == 1 and out == ""
+            assert err == smooth and json.loads(err)["error"] == "ValueError"
+
     def test_eoc_smooth_reports_its_deviation(self, capsys):
         code, out, _ = invoke(
             ["solve", "--method", "eoc", "--activation", "tanh", "--sigma-b", "0.2"], capsys

@@ -295,6 +295,14 @@ class TestLocalCDerivative:
         with pytest.raises(UnsupportedDerivativeError):
             local_c_derivative(LocalMapParams(Tanh()), RULE, 0.5, 1.0, 1.0, order=3)
 
+    @pytest.mark.parametrize("act, order", [(TReLU(0.3), 2), (Tanh(), 3)])
+    @pytest.mark.parametrize("c, q", [(1.5, 1.0), (0.5, -1.0)])
+    def test_unsupported_order_is_reported_before_the_domain(self, act, order, c, q):
+        # the order checks come before the shared pair expectation's checks
+        # of c and q
+        with pytest.raises(UnsupportedDerivativeError):
+            local_c_derivative(LocalMapParams(act), RULE, c, q, 1.0, order=order)
+
 
 class TestGlobalC:
     def test_hundred_fold_composition(self):

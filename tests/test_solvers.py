@@ -11,6 +11,7 @@ Oracles:
 - [TRIVIAL] algebraic identities (slope of identity, zeta = m**L, etc.).
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from qcmap import (
     BracketError,
     GraphValidationError,
     Identity,
+    LReLU,
     LocalMapParams,
     NetworkGraph,
     Node,
@@ -47,6 +49,7 @@ from qcmap import (
     solve_tat_smooth,
 )
 from qcmap import kernel_maps, solvers
+from qcmap.kernel_maps import DEFAULT_QUAD_ORDER
 from qcmap.netgraph import AFFINE, INPUT, NONLINEAR, SUM
 from qcmap.solvers import max_c_value
 
@@ -533,6 +536,36 @@ class TestSolveDks:
         # moves M by far more than 1e-12 (3e-10 on vanilla:87 at 5778.55)
         assert abs(eval_M(graph, lambda x: m * x, 1.0) - zeta) <= 1e-12 * zeta
 
+    @pytest.mark.parametrize("zeta", [1.01, 1.5, 2.0, 20.0, 731.0, 5778.55])
+    @pytest.mark.parametrize("graph", [
+        build_vanilla(2), build_vanilla(5), build_vanilla(87), build_vanilla(200),
+        build_rescaled_resnet(50, 0.5), build_rescaled_resnet(25, 0.3, with_transitions=True),
+    ])
+    def test_slope_meets_its_relative_bound(self, monkeypatch, graph, zeta):
+        # |M - zeta| <= max(1e-12, 1e-14 L zeta), L the nonlinear-node count:
+        # one ulp of m moves M = m^L by about L zeta 1.1e-16, so 1e-12 alone
+        # is out of reach from zeta of a few hundred (vanilla:87 at 5778.55
+        # misses by 1.2e-9).  The slope is checked whether or not the
+        # transform for it is certified
+        targets, solve = [], solvers._solve_transform
+        monkeypatch.setattr(solvers, "_solve_transform",
+                            lambda *a: targets.append(a[2][1]) or solve(*a))
+        with contextlib.suppress(SolverFailure):
+            solve_dks(graph, Tanh(), zeta)
+        M = eval_M(graph, lambda x: targets[0] * x, 1.0)
+        assert abs(M - zeta) <= max(1e-12, 1e-14 * graph.nonlinear_count() * zeta)
+
+    @pytest.mark.parametrize("solve, target", [(solve_dks, 1.5), (solve_tat_smooth, 0.3)])
+    def test_certificate_builds_no_hermite_table(self, solve, target):
+        # the certificate reads only the order-120 nodes: the one Hermite
+        # table a certified solve builds is the order-60 one of its Newton
+        kernel_maps._hermite_basis.cache_clear()
+        solve(build_vanilla(5), Tanh(), target)
+        info = kernel_maps._hermite_basis.cache_info()
+        assert info.currsize == 1
+        kernel_maps._hermite_basis(DEFAULT_QUAD_ORDER)
+        assert kernel_maps._hermite_basis.cache_info().hits == info.hits + 1
+
     def test_zeta_not_above_one_rejected(self):
         with pytest.raises(ValueError):
             solve_dks(build_vanilla(3), Tanh(), 1.0)
@@ -671,13 +704,13 @@ class TestSolveEocSmooth:
 
 class TestEocLrelu:
     def test_relu_scale(self):
-        sol = eoc_lrelu(0.0)
+        sol = eoc_lrelu(ReLU())
         assert sol.sigma_w == pytest.approx(math.sqrt(2.0), abs=1e-15)
         assert sol.q_fixed_point == 1.0
 
     @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.7, 1.0])
     def test_scaled_lrelu_sits_on_edge(self, alpha):
-        sol = eoc_lrelu(alpha)
+        sol = eoc_lrelu(LReLU(alpha))
         # sigma_w^2 E[phi'(z)^2] = sigma_w^2 (1 + alpha^2) / 2 = 1
         assert sol.sigma_w**2 * (1 + alpha * alpha) / 2.0 == pytest.approx(
             1.0, abs=1e-14
@@ -689,6 +722,33 @@ class TestEocLrelu:
         for q in (0.25, 1.0, 4.0):
             assert local_q(p, RULE, q) == pytest.approx(q, abs=1e-10)
 
+    @pytest.mark.parametrize("phi", [
+        ReLU(), LReLU(0.2), LReLU(-0.3), LReLU(2.0),
+        TReLU(0.0), TReLU(0.2), TReLU(0.5), TReLU(1.0),
+    ])
+    def test_unit_slope_against_quadrature(self, phi):
+        # oracle: sigma_w^2 E[phi'(z)^2] on order-120 kink-split nodes; a
+        # TReLU whose scale is applied a second time misses it
+        sol = eoc_lrelu(phi)
+        p = LocalMapParams(phi, sigma_w=sol.sigma_w)
+        assert cstats(p, QuadratureRule.gauss_hermite(120)).cp1 == pytest.approx(1.0, abs=1e-12)
+        assert (sol.sigma_b, sol.q_fixed_point) == (0.0, 1.0)
+
+    @pytest.mark.parametrize("phi", [ReLU(), LReLU(0.2), TReLU(0.5)])
+    @pytest.mark.parametrize("sigma_b", [1e-300, 0.5, 3.0])
+    def test_bias_has_no_edge(self, phi, sigma_b):
+        # C'(1) does not depend on q: where it is 1, Q(q) = q + sigma_b^2
+        with pytest.raises(UnattainableTargetError, match="no fixed point"):
+            eoc_lrelu(phi, sigma_b=sigma_b)
+
+    @pytest.mark.parametrize("sigma_b", [-1e-3, math.inf, -math.inf, math.nan])
+    def test_invalid_bias_rejected_as_for_smooth(self, sigma_b):
+        with pytest.raises(ValueError) as smooth:
+            solve_eoc_smooth(Tanh(), sigma_b=sigma_b)
+        with pytest.raises(ValueError) as leaky:
+            eoc_lrelu(ReLU(), sigma_b=sigma_b)
+        assert str(leaky.value) == str(smooth.value)
+
 
 class TestSolutionSerialization:
     def test_tat_lrelu_dict(self):
@@ -697,7 +757,7 @@ class TestSolutionSerialization:
         assert set(d) == {"method", "activation", "parameters", "targets", "residuals"}
 
     def test_eoc_dict(self):
-        d = eoc_lrelu(0.2).to_dict()
+        d = eoc_lrelu(LReLU(0.2)).to_dict()
         assert d["method"] == "eoc"
         assert d["parameters"]["sigma_b"] == 0.0
         # a closed form has no certificate

@@ -14,12 +14,13 @@ change's tier-1 suite runs once with -W error::RuntimeWarning and
 --durations=15, as in CI.
 
 The only file written in the repository is --out:
-    {git_sha, parent_sha, numpy, cores, seeds, seconds, workloads: {name:
-     {metric: {parent: [median, q1, q3], change: [...], wins, pairs,
-     verdict}}, failed, runs}, trace: {name: {metric: {parent, change}}},
-     tier1}
-where wins counts the pairs in which the change is better in the direction
-BENCHMARK.json gives the metric.  verdict judges the metric against its
+    {git_sha, parent_sha, numpy, cores, seeds, seconds, src_lines: {parent,
+     change}, workloads: {name: {metric: {parent: [median, q1, q3], change:
+     [...], wins, pairs, verdict}}, failed, runs}, trace: {name: {metric:
+     {parent, change}}}, tier1}
+where src_lines counts the lines of src/**/*.py in each exported tree (the
+net-lines metric of ROADMAP.md) and wins counts the pairs in which the
+change is better in the direction BENCHMARK.json gives the metric.  verdict judges the metric against its
 BENCHMARK.json bound: "worse" when the change's median is past the bound,
 else "unresolved" when the parent's quartile spread exceeds the bound and
 not every change run beats every parent run, else "ok".  Nothing under
@@ -58,6 +59,11 @@ def export(rev: str, dest: Path) -> str:
                              capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
     return sha
+
+
+def src_lines(checkout: Path) -> int:
+    """Newline count of the tree's src/**/*.py files, as wc -l gives it."""
+    return sum(p.read_bytes().count(b"\n") for p in checkout.glob("src/**/*.py"))
 
 
 def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -160,7 +166,9 @@ def main(argv=None) -> int:
                       [sys.executable, "-c", "import numpy; print(numpy.__version__)"],
                       capture_output=True, text=True).stdout.strip(),
                   "cores": len(os.sched_getaffinity(0)), "seeds": seeds,
-                  "seconds": seconds, "workloads": {}, "trace": {}}
+                  "seconds": seconds,
+                  "src_lines": {side: src_lines(path) for side, path in sides.items()},
+                  "workloads": {}, "trace": {}}
         for workload in workloads:
             runs = []
             for i, seed in enumerate(seeds):
