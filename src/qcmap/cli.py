@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import json
 import math
@@ -79,10 +78,11 @@ def _output(path: str | None):
 
 
 def _write_csv(path: str | None, header: list[str], rows) -> None:
+    """The header and the rows, each a preformatted line of comma-joined
+    fields, written in one piece with CRLF line ends, as the csv module's
+    default dialect writes them; no field needs quoting (names and numbers)."""
     with _output(path) as out:
-        writer = csv.writer(out)
-        writer.writerow(header)
-        writer.writerows(rows)
+        out.write("\r\n".join([",".join(header), *rows]) + "\r\n")
 
 
 def _cmd_solve(args) -> int:
@@ -127,8 +127,8 @@ def _cmd_cmap(args) -> int:
     local = kernel_map(LocalMapParams(parse_activation(args.activation)))
     grid = np.linspace(args.start, 1.0, args.points)
     values = eval_U(graph, local, grid)
-    _write_csv(args.output, ["c", "C_f"],
-               ([f"{c:.12g}", f"{v:.12g}"] for c, v in zip(grid, np.atleast_1d(values))))
+    _write_csv(args.output, ["c", "C_f"], (
+        f"{c:.12g},{v:.12g}" for c, v in zip(grid.tolist(), np.atleast_1d(values).tolist())))
     return 0
 
 
@@ -146,8 +146,8 @@ def _cmd_simulate(args) -> int:
     trace = run_simulation(config, act, scheme)
     theory = theory_trace(kernel_map(LocalMapParams(act)), config.initial_c, config.depth)
     _write_csv(args.output, ["layer_index", "mean_c", "std_c", "mean_q", "theory_c"], (
-        [layer, *(f"{v:.12g}" for v in (trace.mean_c[layer], trace.std_c[layer],
-                                         trace.mean_q[layer], theory[layer]))]
+        ",".join([str(layer), *(f"{v:.12g}" for v in (trace.mean_c[layer], trace.std_c[layer],
+                                                      trace.mean_q[layer], theory[layer]))])
         for layer in range(config.depth + 1)))
     return 0
 
@@ -161,7 +161,7 @@ def _cmd_ode(args) -> int:
         raise ValueError("ode requires --eta or --T")
     solution = integrate_psi(args.c0, T)
     _write_csv(args.output, ["t", "x"],
-               ([f"{t:.12g}", f"{x:.12g}"] for t, x in zip(solution.times, solution.states)))
+               (f"{t:.12g},{x:.12g}" for t, x in zip(solution.times, solution.states)))
     return 0
 
 

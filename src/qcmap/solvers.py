@@ -11,6 +11,7 @@ inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -27,8 +28,9 @@ from .kernel_maps import (
     _HERMITE_CAP,
     DEFAULT_QUAD_ORDER,
     LocalMapParams,
-    lrelu_c_map,
     _hermite_jet,
+    _lrelu_c,
+    _lrelu_coef,
     _piecewise_1d,
 )
 from .netgraph import NetworkGraph, eval_M
@@ -244,7 +246,8 @@ def solve_nonlinear_system(F, x0, jac) -> np.ndarray:
 
 def max_c_value(g: NetworkGraph, alpha: float) -> float:
     """Maximal c-value function: largest subnetwork C map value at c = 0."""
-    return eval_M(g, lambda c: lrelu_c_map(alpha, c), 0.0)
+    coef = _lrelu_coef(alpha)  # once per alpha, not once per node
+    return eval_M(g, lambda c: _lrelu_c(coef, c), 0.0)
 
 
 def solve_tat_lrelu(g: NetworkGraph, eta: float) -> TatLreluSolution:
@@ -252,13 +255,15 @@ def solve_tat_lrelu(g: NetworkGraph, eta: float) -> TatLreluSolution:
 
     bisect on alpha in [0, 1] to |residual| <= 1e-6; the maximal c-value
     is strictly decreasing in alpha and vanishes at alpha = 1.
-    bisection_iterations counts the residual evaluations, one eval_M pass
-    each.  eta is checked before the graph, which eval_M validates when it
-    compiles it.
+    bisection_iterations counts the residuals bisect requests, the one at
+    alpha = 0 included; each alpha takes one eval_M pass, so that residual
+    reuses the max_eta pass and achieved_eta the pass at the answer.  eta is
+    checked before the graph, which eval_M validates when it compiles it.
     """
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must lie strictly inside (0, 1), got {eta}")
-    max_eta = max_c_value(g, 0.0)
+    value = functools.cache(lambda alpha: max_c_value(g, alpha))
+    max_eta = value(0.0)
     if g.nonlinear_count() < 1:
         raise ValueError("graph has no nonlinear node")
     if eta > max_eta:
@@ -271,12 +276,12 @@ def solve_tat_lrelu(g: NetworkGraph, eta: float) -> TatLreluSolution:
     def residual(alpha: float) -> float:
         nonlocal iterations
         iterations += 1
-        return max_c_value(g, alpha) - eta
+        return value(alpha) - eta
 
     alpha = bisect(residual, 0.0, 1.0, tol=1e-6)
     return TatLreluSolution(
         alpha=alpha,
-        achieved_eta=max_c_value(g, alpha),
+        achieved_eta=value(alpha),
         bisection_iterations=iterations,
     )
 
@@ -445,16 +450,23 @@ def solve_dks(g: NetworkGraph, base: Activation, zeta: float) -> DksSolution:
     def slope(m: float) -> float:
         return eval_M(g, lambda x: m * x, 1.0)
 
+    # the bracket's top end is m = zeta itself: exp(log zeta) may be an ulp
+    # off, enough to move M - zeta past the tolerance at the end
+    top = math.log(zeta)
+
+    def m_at(u: float) -> float:
+        return zeta if u == top else math.exp(u)
+
     try:
-        u = bisect(lambda u: math.log1p((slope(math.exp(u)) - zeta) / zeta),
-                   0.0, math.log(zeta), tol=1e-12 / zeta)
+        u = bisect(lambda u: math.log1p((slope(m_at(u)) - zeta) / zeta),
+                   0.0, top, tol=1e-12 / zeta)
     except BracketError as err:
         f_lo, f_hi = slope(1.0) - zeta, slope(zeta) - zeta
         raise BracketError(
             f"global slope minus zeta has no sign change for m in [1, {zeta}]: "
             f"{f_lo} at m = 1, {f_hi} at m = zeta", f_lo=f_lo, f_hi=f_hi,
         ) from err
-    m = math.exp(u)
+    m = m_at(u)
     phi, deviation = _solve_transform(base, False, np.array([1.0, m]))
     return DksSolution(
         alpha=phi.alpha, beta=phi.beta, gamma=phi.gamma, delta=phi.delta,
@@ -509,8 +521,12 @@ def solve_eoc_smooth(base: Activation, sigma_b: float = 0.0) -> EocSolution:
         with np.errstate(over="ignore"):
             return q, w @ base.value(y) ** 2, w @ base.deriv1(y) ** 2
 
+    # once per u: bisect reuses the decade ends the scan computed, and the
+    # answer its last residual
+    solve_moments = functools.cache(lambda u: moments(u, x, w))
+
     def residual(u: float) -> float:
-        _, a, b = moments(u, x, w)
+        _, a, b = solve_moments(u)
         return math.exp(u) * b / a - 1.0
 
     # past the root the nodes may stop resolving phi'(sqrt(q) z)^2, and r
@@ -528,7 +544,7 @@ def solve_eoc_smooth(base: Activation, sigma_b: float = 0.0) -> EocSolution:
             f"{math.exp(hi):.3g}), so the edge lies where q* diverges or nears sigma_b^2",
             max_value=1.0 + err.f_hi,
         ) from err
-    q_star, a, _ = moments(u, x, w)
+    q_star, a, _ = solve_moments(u)
     sw2 = math.exp(u) / a
 
     def misses(x, w):

@@ -293,6 +293,33 @@ class TestCmapCommand:
         assert len(out.strip().splitlines()) == 4
 
 
+class TestCsvOutput:
+    @pytest.mark.parametrize("argv", [
+        ["cmap", "--graph", "vanilla:2", "--activation", "tanh", "--points", "1"],
+        ["cmap", "--graph", "resnet:2:0.5", "--activation", "trelu:0.2", "--points", "9"],
+        ["ode", "--T", "0.5", "--c0", "-0.25"],
+        ["simulate", "--activation", "tanh", "--width", "8", "--depth", "2",
+         "--trials", "1", "--pairs", "2"],
+    ])
+    def test_file_matches_stdout_and_the_csv_module(self, capsys, tmp_path, argv):
+        code, out, _ = invoke(argv, capsys)
+        assert code == 0
+        path = tmp_path / "out.csv"
+        assert run(argv + ["--output", str(path)]) == 0
+        assert path.read_bytes() == out.encode()
+        rows = list(csv.reader(io.StringIO(out, newline="")))
+        assert len(rows) >= 2 and out.count("\r\n") == len(rows)
+        rewritten = io.StringIO(newline="")
+        csv.writer(rewritten).writerows(rows)
+        assert rewritten.getvalue() == out
+
+    def test_single_point(self, capsys):
+        code, out, _ = invoke(["cmap", "--graph", "vanilla:1", "--activation", "relu",
+                               "--points", "1", "--from", "0"], capsys)
+        assert code == 0
+        assert out == f"c,C_f\r\n0,{1 / math.pi:.12g}\r\n"
+
+
 class TestSimulateCommand:
     ARGS = ["simulate", "--activation", "trelu:0.3", "--width", "48",
             "--depth", "3", "--trials", "2", "--pairs", "2", "--seed", "5"]

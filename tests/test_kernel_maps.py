@@ -38,7 +38,13 @@ from qcmap import (
     solve_dks,
     solve_tat_smooth,
 )
-from qcmap.kernel_maps import _hermite_jet
+from qcmap.kernel_maps import (
+    _HERMITE_RTOL,
+    DEFAULT_QUAD_ORDER,
+    _clamp_unit,
+    _hermite_coefficients,
+    _hermite_jet,
+)
 
 RULE = default_rule()
 RULE_120 = QuadratureRule.gauss_hermite(120)
@@ -529,3 +535,90 @@ class TestKernelMap:
         k = kernel_map(LocalMapParams(SoftPlus()))
         dev = np.abs(k(GRID) - local_c(LocalMapParams(SoftPlus()), RULE_120, GRID, 1.0, 1.0))
         assert k.tail_bound <= 1e-14 and np.max(dev) <= k.tail_bound + 1e-13
+
+
+def _bits(x):
+    """The float64 bytes of x: equal only for bit-identical values, signed
+    zeros and NaNs included."""
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _reference_arccos(params, q1, q2, c):
+    """The arc-cosine route as one expression, a * C(c) + b, in numpy's
+    wrappers (math's scalars for a Python float)."""
+    phi = params.activation
+    alpha, sw2, sb2 = phi.alpha, params.sigma_w**2, params.sigma_b**2
+    m = phi.scale * phi.scale * (1.0 + alpha * alpha) / 2.0
+    t1, t2 = sw2 * m * q1, sw2 * m * q2
+    a = math.sqrt(t1 / (t1 + sb2) * (t2 / (t2 + sb2)))
+    b = math.sqrt(sb2 / (t1 + sb2) * (sb2 / (t2 + sb2)))
+    coef = (1.0 - alpha) ** 2 / (math.pi * (1.0 + alpha * alpha))
+    if type(c) is float:
+        x = min(max(c, -1.0), 1.0)
+        return a * (x + coef * (math.sqrt(1.0 - x * x) - x * math.acos(x))) + b
+    x = np.clip(np.asarray(c, dtype=float), -1.0, 1.0)
+    out = x + coef * (np.sqrt(1.0 - x * x) - x * np.arccos(x))
+    return a * out + b if out.ndim else a * float(out) + b
+
+
+def _reference_hermite(params, q1, q2, c):
+    """The Hermite route's truncated series summed by numpy's polyval."""
+    phi, sw2, sb2 = params.activation, params.sigma_w**2, params.sigma_b**2
+    a1, m1, r1 = _hermite_coefficients(phi, math.sqrt(q1), DEFAULT_QUAD_ORDER)
+    a2, m2, r2 = _hermite_coefficients(phi, math.sqrt(q2), DEFAULT_QUAD_ORDER)
+    n = int(np.argmax((r1 - max(r1[-1], 0.0) <= _HERMITE_RTOL * m1)
+                      & (r2 - max(r2[-1], 0.0) <= _HERMITE_RTOL * m2)))
+    denom = math.sqrt((sw2 * m1 + sb2) * (sw2 * m2 + sb2))
+    coef = sw2 * a1[: n + 1] * a2[: n + 1] / denom
+    coef[0] += sb2 / denom
+    out = np.polynomial.polynomial.polyval(np.clip(np.asarray(c, dtype=float), -1.0, 1.0),
+                                           coef)
+    return out if out.ndim else float(out)
+
+
+# 0-d inputs of each kind, 1-d and 2-d arrays, NaN, and the clip at +-1
+ROUTE_INPUTS = [0.25, -1.0, 1.0 + 1e-13, math.nan, np.float64(-0.6), np.asarray(0.7),
+                np.float64(math.nan), GRID, GRID[:200].reshape(8, 25),
+                np.array([math.nan, -1.0 - 1e-13, 0.0, -0.0, 0.5])]
+# (q1, q2, sigma_w, sigma_b): sigma_b = 0 on and off the diagonal, and a bias
+ROUTE_CASES = [(1.0, 1.0, 1.0, 0.0), (0.7, 2.3, 1.3, 0.0), (0.7, 2.3, 1.3, 0.4)]
+
+
+class TestEvaluationCost:
+    """The in-place evaluation of the local maps keeps every bit."""
+
+    def test_clamp_unit_keeps_its_rules(self):
+        assert math.isnan(_clamp_unit(math.nan, "t"))
+        assert np.isnan(_clamp_unit(np.array([0.5, math.nan]), "t")[1])
+        for c in (np.array([math.nan, 2.0]), [2.0, math.nan], [[math.nan], [-2.0]],
+                  1.0 + 2e-12, -math.inf):
+            with pytest.raises(DomainError, match="^t: "):
+                _clamp_unit(c, "t")
+        assert _clamp_unit(1.0 + 1e-12, "t") == 1.0
+        assert _clamp_unit(-1.0 - 1e-12, "t") == -1.0
+        for c in (0.5, np.float64(-0.5), np.asarray(0.5), 1, [0.1, -0.0],
+                  np.array([1.0 + 1e-12, -0.3]), np.full((2, 3), -1.0 - 1e-13)):
+            got = _clamp_unit(c, "t")
+            want = np.clip(np.asarray(c, dtype=float), -1.0, 1.0)
+            assert type(got) is type(want) and np.shape(got) == np.shape(want)
+            assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("case", ROUTE_CASES)
+    @pytest.mark.parametrize("route, acts, reference", [
+        ("arccos", [TReLU(0.3), LReLU(-0.2), LReLU(0.77), LReLU(1.0), ReLU()],
+         _reference_arccos),
+        ("hermite", [Tanh(), SoftPlus()], _reference_hermite),
+    ])
+    def test_routes_match_the_one_expression_forms(self, case, route, acts, reference):
+        q1, q2, sw, sb = case
+        for act in acts:
+            p = LocalMapParams(act, sigma_w=sw, sigma_b=sb)
+            k = kernel_map(p, q1, q2)
+            assert k.route == route
+            for c in ROUTE_INPUTS:
+                before = np.array(c, copy=True)
+                got, want = k(c), reference(p, q1, q2, c)
+                assert type(got) is type(want) and np.shape(got) == np.shape(want), (act, c)
+                assert _bits(got) == _bits(want), (act, c)
+                # the input is never a buffer of the evaluation
+                assert _bits(c) == _bits(before)

@@ -308,6 +308,18 @@ class TestSolveTatLrelu:
         assert max_c_value(graph, sol.alpha) == pytest.approx(eta, abs=1e-6)
         assert sol.bisection_iterations <= 12
 
+    @pytest.mark.parametrize("graph, eta", [(build_vanilla(10), 0.5),
+                                            (build_rescaled_resnet(5, 0.5), 0.3)])
+    def test_one_pass_per_residual(self, monkeypatch, graph, eta):
+        # the residual at alpha = 0 reuses the max_eta pass, and achieved_eta
+        # the pass at the returned alpha, which bisect has evaluated
+        passes = []
+        monkeypatch.setattr(solvers, "eval_M", lambda *a: passes.append(a) or eval_M(*a))
+        sol = solve_tat_lrelu(graph, eta)
+        assert len(passes) == sol.bisection_iterations
+        monkeypatch.undo()
+        assert sol.achieved_eta == max_c_value(graph, sol.alpha)
+
     def test_invalid_graph_reported_after_eta(self):
         # the graph is validated once, when eval_M compiles it, so a bad
         # eta is reported first and a good one reaches the graph error
@@ -566,6 +578,19 @@ class TestSolveDks:
         kernel_maps._hermite_basis(DEFAULT_QUAD_ORDER)
         assert kernel_maps._hermite_basis.cache_info().hits == info.hits + 1
 
+    @pytest.mark.parametrize("zeta", [3.0, 20.0, 5778.55])
+    def test_top_of_the_bracket_is_zeta_itself(self, monkeypatch, zeta):
+        # on vanilla:1 the root m = zeta is the bracket's top end, where
+        # exp(log zeta) is an ulp off zeta; at 5778.55 that ulp left no sign
+        # change and a BracketError reporting 0.0 at m = zeta.  Tanh cannot
+        # reach C'(1) = zeta, so each ends in a refusal of the transform
+        targets, solve = [], solvers._solve_transform
+        monkeypatch.setattr(solvers, "_solve_transform",
+                            lambda *a: targets.append(a[2][1]) or solve(*a))
+        with pytest.raises(SolverFailure):
+            solve_dks(build_vanilla(1), Tanh(), zeta)
+        assert targets == [zeta]
+
     def test_zeta_not_above_one_rejected(self):
         with pytest.raises(ValueError):
             solve_dks(build_vanilla(3), Tanh(), 1.0)
@@ -631,6 +656,22 @@ class TestSolveEocSmooth:
         sol = solve_eoc_smooth(phi, sigma_b=sigma_b)
         assert sol.sigma_w == pytest.approx(oracle_eoc_sigma_w(phi, sigma_b), abs=1e-8)
         assert max(eoc_misses(sol, phi)) <= 1e-9
+
+    @pytest.mark.parametrize("sigma_b", [0.0444135, 0.5, 3.0])
+    def test_each_residual_is_evaluated_once(self, sigma_b):
+        # bisect reuses the decade ends the scan evaluated: every q the root
+        # find visits on the solve's nodes is distinct
+        x, _ = solvers._piecewise_1d((0.0,), DEFAULT_QUAD_ORDER)
+        scales = []
+
+        class Counting(Tanh):
+            def deriv1(self, y):
+                if np.shape(y) == x.shape:
+                    scales.append(float(y[-1] / x[-1]))
+                return super().deriv1(y)
+
+        solve_eoc_smooth(Counting(), sigma_b=sigma_b)
+        assert len(scales) >= 5 and len(set(scales)) == len(scales)
 
     def test_tanh_without_bias_sits_at_the_origin(self):
         # the edge is sigma_w = 1 with q* -> 0: C'(1) -> 1 there from above
