@@ -260,11 +260,7 @@ def lrelu_c_map(alpha: float, c):
     C(c) = c + _lrelu_coef(a) * (sqrt(1-c^2) - c * arccos(c)).  Exact at the
     fixed point c = 1.  Accepts arrays.
     """
-    return _lrelu_c(_lrelu_coef(alpha), c)
-
-
-def _lrelu_c(coef: float, c):
-    """lrelu_c_map with its coefficient already computed."""
+    coef = _lrelu_coef(alpha)
     if type(c) is float:
         # scalar path for the solvers' bisections; same domain rules as
         # _clamp_unit, NaN passes through
@@ -273,18 +269,8 @@ def _lrelu_c(coef: float, c):
         c = min(max(c, -1.0), 1.0)
         return float(c + coef * (math.sqrt(1.0 - c * c) - c * math.acos(c)))
     c = _clamp_unit(c, "lrelu_c_map")
-    if not c.ndim:  # a numpy scalar, which has no out=
-        return float(c + coef * (np.sqrt(1.0 - c * c) - c * np.arccos(c)))
-    # the same operations in the same order, in two buffers
-    out = c * c
-    np.subtract(1.0, out, out=out)
-    np.sqrt(out, out=out)
-    t = np.arccos(c)
-    t *= c
-    out -= t
-    out *= coef
-    out += c
-    return out
+    out = c + coef * (np.sqrt(1.0 - c * c) - c * np.arccos(c))
+    return out if out.ndim else float(out)
 
 
 def lrelu_c_map_derivative(alpha: float, c):
@@ -443,8 +429,6 @@ def kernel_map(params: LocalMapParams, q1: float = 1.0, q2: float = 1.0) -> Kern
         # overflows for slopes far below those the map itself can take
         a = math.sqrt(t1 / (t1 + sb2) * (t2 / (t2 + sb2)))
         b = math.sqrt(sb2 / (t1 + sb2) * (sb2 / (t2 + sb2)))
-        if a == 1.0 and b == 0.0:  # sigma_b = 0: a * C + b would be C itself
-            return KernelMap("arccos", 0.0, lambda c: lrelu_c_map(alpha, c))
         return KernelMap("arccos", 0.0, lambda c: a * lrelu_c_map(alpha, c) + b)
     if not phi.smooth:
         rule = default_rule()
@@ -464,17 +448,8 @@ def kernel_map(params: LocalMapParams, q1: float = 1.0, q2: float = 1.0) -> Kern
     tail = sw2 * math.sqrt(max(r1[n], 0.0) * max(r2[n], 0.0)) / denom
 
     def local(c):
-        # Horner in place, in polyval's operations and order: coef[-1] + c * 0,
-        # then coef[-i] + out * c
-        c = _clamp_unit(c, "kernel_map")
-        if not c.ndim:  # a numpy scalar, which has no out=
-            return float(np.polynomial.polynomial.polyval(c, coef))
-        out = c * 0.0
-        out += coef[-1]
-        for a in coef[-2::-1]:
-            out *= c
-            out += a
-        return out
+        out = np.polynomial.polynomial.polyval(_clamp_unit(c, "kernel_map"), coef)
+        return out if out.ndim else float(out)
 
     return KernelMap("hermite", tail, local)
 

@@ -28,9 +28,8 @@ from .kernel_maps import (
     _HERMITE_CAP,
     DEFAULT_QUAD_ORDER,
     LocalMapParams,
+    lrelu_c_map,
     _hermite_jet,
-    _lrelu_c,
-    _lrelu_coef,
     _piecewise_1d,
 )
 from .netgraph import NetworkGraph, eval_M
@@ -246,8 +245,7 @@ def solve_nonlinear_system(F, x0, jac) -> np.ndarray:
 
 def max_c_value(g: NetworkGraph, alpha: float) -> float:
     """Maximal c-value function: largest subnetwork C map value at c = 0."""
-    coef = _lrelu_coef(alpha)  # once per alpha, not once per node
-    return eval_M(g, lambda c: _lrelu_c(coef, c), 0.0)
+    return eval_M(g, lambda c: lrelu_c_map(alpha, c), 0.0)
 
 
 def solve_tat_lrelu(g: NetworkGraph, eta: float) -> TatLreluSolution:
@@ -434,8 +432,10 @@ def solve_dks(g: NetworkGraph, base: Activation, zeta: float) -> DksSolution:
     d log M / du is at most L, the nonlinear-node count, so |M - zeta| <=
     max(1e-12, 1e-14 L zeta) to first order: the tolerance where float
     spacing allows it, else bisect's 1e-14 width stop in u (one ulp of m
-    moves M by about L zeta 1.1e-16).  Without a sign change the
-    BracketError carries M - zeta at m = 1 and at m = zeta.
+    moves M by about L zeta 1.1e-16).  Without a sign change m = zeta
+    answers if its residual meets the tolerance (the bracket's top end
+    exp(log zeta) may be an ulp off zeta); else the BracketError carries M -
+    zeta at m = 1 and at m = zeta.
     _solve_transform solves for (alpha, beta), with delta = -a_0, once, at
     DEFAULT_QUAD_ORDER, and certifies the answer at twice that order or
     raises SolverFailure; residual_norm is the certified deviation.
@@ -450,23 +450,20 @@ def solve_dks(g: NetworkGraph, base: Activation, zeta: float) -> DksSolution:
     def slope(m: float) -> float:
         return eval_M(g, lambda x: m * x, 1.0)
 
-    # the bracket's top end is m = zeta itself: exp(log zeta) may be an ulp
-    # off, enough to move M - zeta past the tolerance at the end
-    top = math.log(zeta)
-
-    def m_at(u: float) -> float:
-        return zeta if u == top else math.exp(u)
-
+    tol = 1e-12 / zeta
     try:
-        u = bisect(lambda u: math.log1p((slope(m_at(u)) - zeta) / zeta),
-                   0.0, top, tol=1e-12 / zeta)
+        m = math.exp(bisect(lambda u: math.log1p((slope(math.exp(u)) - zeta) / zeta),
+                            0.0, math.log(zeta), tol=tol))
     except BracketError as err:
         f_lo, f_hi = slope(1.0) - zeta, slope(zeta) - zeta
-        raise BracketError(
-            f"global slope minus zeta has no sign change for m in [1, {zeta}]: "
-            f"{f_lo} at m = 1, {f_hi} at m = zeta", f_lo=f_lo, f_hi=f_hi,
-        ) from err
-    m = m_at(u)
+        # exp(log zeta) may be an ulp off zeta, enough to move the top end's
+        # residual past the tolerance
+        if not abs(math.log1p(f_hi / zeta)) <= tol:
+            raise BracketError(
+                f"global slope minus zeta has no sign change for m in [1, {zeta}]: "
+                f"{f_lo} at m = 1, {f_hi} at m = zeta", f_lo=f_lo, f_hi=f_hi,
+            ) from err
+        m = zeta
     phi, deviation = _solve_transform(base, False, np.array([1.0, m]))
     return DksSolution(
         alpha=phi.alpha, beta=phi.beta, gamma=phi.gamma, delta=phi.delta,

