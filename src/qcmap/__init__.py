@@ -68,7 +68,7 @@ from .netgraph import (
     load_graph_json,
     validate_graph,
 )
-from .ode_limit import find_T, integrate_psi, ode_rhs, psi, verify_convergence
+from .ode_limit import find_T, integrate_psi, ode_rhs, psi
 from .solvers import (
     DksSolution,
     EocSolution,
@@ -81,4 +81,5 @@ from .solvers import (
     solve_nonlinear_system,
     solve_tat_lrelu,
     solve_tat_smooth,
+    verify_convergence,
 )

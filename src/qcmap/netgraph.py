@@ -52,8 +52,6 @@ AFFINE = "affine"
 NONLINEAR = "nonlinear"
 SUM = "sum"
 
-_KINDS = (INPUT, AFFINE, NONLINEAR, SUM)
-
 
 @dataclass(frozen=True)
 class Node:
@@ -82,11 +80,7 @@ class NetworkGraph:
         return len(self.nodes)
 
     def successors(self) -> list[list[int]]:
-        succ: list[list[int]] = [[] for _ in self.nodes]
-        for nid, ps in enumerate(self.preds):
-            for p in ps:
-                succ[p].append(nid)
-        return succ
+        return [list(s) for s in self._succ]
 
     def topo_order(self) -> list[int]:
         return list(self._order)
@@ -99,9 +93,18 @@ class NetworkGraph:
     # an invalid graph raises on every call.
 
     @cached_property
+    def _succ(self) -> list[list[int]]:
+        """succ[i] lists the successors of node i; shared, never mutated."""
+        succ: list[list[int]] = [[] for _ in self.nodes]
+        for nid, ps in enumerate(self.preds):
+            for p in ps:
+                succ[p].append(nid)
+        return succ
+
+    @cached_property
     def _order(self) -> tuple[int, ...]:
         indeg = [len(ps) for ps in self.preds]
-        succ = self.successors()
+        succ = self._succ
         ready = [i for i, d in enumerate(indeg) if d == 0]
         order: list[int] = []
         while ready:
@@ -116,12 +119,27 @@ class NetworkGraph:
         return tuple(order)
 
     @cached_property
+    def _rank(self) -> list[int]:
+        """rank[v]: the position of node v in the topological order."""
+        rank = [0] * len(self.nodes)
+        for i, v in enumerate(self._order):
+            rank[v] = i
+        return rank
+
+    @cached_property
     def _whole_plan(self) -> _Plan:
-        return _lower(self, _whole_graph_ref(self))
+        ref = _whole_graph_ref(self)
+        return _lower(self, self._order, ref.entry, ref.exit)
 
     @cached_property
     def _candidate_plans(self) -> tuple[_Plan, ...]:
-        return tuple(_lower(self, ref) for ref in enumerate_maximal_subnetworks(self))
+        # the first candidate is the whole graph; every other one is lowered
+        # over its own members only, put in topological order
+        refs = enumerate_maximal_subnetworks(self)
+        rank = self._rank.__getitem__
+        return (self._whole_plan,) + tuple(
+            _lower(self, sorted(ref.members, key=rank), ref.entry, ref.exit) for ref in refs[1:]
+        )
 
 
 def validate_graph(g: NetworkGraph) -> None:
@@ -129,27 +147,22 @@ def validate_graph(g: NetworkGraph) -> None:
     n = g.num_nodes
     if n == 0:
         raise GraphValidationError("empty graph")
-    for node in g.nodes:
-        if node.kind not in _KINDS:
-            raise GraphValidationError(f"node {node.id}: unknown kind {node.kind!r}", node.id)
     if not 0 <= g.output < n:
         raise GraphValidationError(f"output id {g.output} out of range")
 
-    inputs = [node.id for node in g.nodes if node.kind == INPUT]
-    if len(inputs) == 0:
-        raise GraphValidationError("no input node")
-    if len(inputs) > 1:
-        raise GraphValidationError(f"multiple inputs: nodes {inputs}")
-
-    for node in g.nodes:
-        ps = g.preds[node.id]
-        if node.kind == INPUT and ps:
-            raise GraphValidationError(f"node {node.id}: input node has predecessors", node.id)
-        if node.kind in (AFFINE, NONLINEAR) and len(ps) != 1:
-            raise GraphValidationError(
-                f"node {node.id}: {node.kind} node needs exactly one predecessor", node.id
-            )
-        if node.kind == SUM:
+    inputs = []
+    for node, ps in zip(g.nodes, g.preds):
+        kind = node.kind
+        if kind == INPUT:
+            if ps:
+                raise GraphValidationError(f"node {node.id}: input node has predecessors", node.id)
+            inputs.append(node.id)
+        elif kind == AFFINE or kind == NONLINEAR:
+            if len(ps) != 1:
+                raise GraphValidationError(
+                    f"node {node.id}: {kind} node needs exactly one predecessor", node.id
+                )
+        elif kind == SUM:
             if len(ps) < 2:
                 raise GraphValidationError(
                     f"node {node.id}: sum node needs >= 2 predecessors", node.id
@@ -164,17 +177,25 @@ def validate_graph(g: NetworkGraph) -> None:
                     f"node {node.id}: unnormalized sum weights (sum of squares = {total})",
                     node.id,
                 )
+        else:
+            raise GraphValidationError(f"node {node.id}: unknown kind {kind!r}", node.id)
+    if len(inputs) == 0:
+        raise GraphValidationError("no input node")
+    if len(inputs) > 1:
+        raise GraphValidationError(f"multiple inputs: nodes {inputs}")
 
-    # Acyclic, and only the input lacks predecessors: all nodes reach back to it.
-    g.topo_order()  # raises on cycles
-    reaches_out = {g.output}
-    stack = [g.output]
-    while stack:
-        for p in g.preds[stack.pop()]:
-            if p not in reaches_out:
-                reaches_out.add(p)
-                stack.append(p)
-    if len(reaches_out) != n:
+    # Acyclic, and only the input lacks predecessors: all nodes reach back to
+    # it.  In a DAG every node reaches a node without successors, so all of
+    # them reach the output exactly when it is the only such node.
+    g._order  # raises on cycles
+    if [v for v, s in enumerate(g._succ) if not s] != [g.output]:
+        reaches_out = {g.output}
+        stack = [g.output]
+        while stack:
+            for p in g.preds[stack.pop()]:
+                if p not in reaches_out:
+                    reaches_out.add(p)
+                    stack.append(p)
         dangling = sorted(set(range(n)) - reaches_out)
         raise GraphValidationError(f"nodes {dangling} cannot reach the output")
 
@@ -266,23 +287,32 @@ def build_rescaled_resnet(
 # subnetwork enumeration
 
 
-def _shape_key(g: NetworkGraph, members: list[int]):
-    """Hashable key identifying a subnetwork up to isomorphism.
+def _region(g: NetworkGraph, e: int, x: int):
+    """Members of the region (e, x) in topological order, and its shape key.
 
-    `members` lists the subnetwork's nodes in topological order.  Canonical
-    form: node kinds with locally renumbered predecessor lists (sum weights
-    included, rounded).
+    The members are the nodes on e -> x paths.  As x post-dominates e, they
+    are the nodes from e to x in the topological order that e reaches.
+    There, each member but e has only members as predecessors and every
+    other node has none, so a node's first predecessor decides.  The key
+    identifies the region up to isomorphism: node kinds with locally
+    renumbered predecessor lists (sum weights included, rounded).
     """
-    local = {nid: i for i, nid in enumerate(members)}
-    key = []
-    for nid in members:
-        node = g.nodes[nid]
-        ps = tuple(sorted(local[p] for p in g.preds[nid] if p in local))
-        ws = None
-        if node.weights is not None:
-            ws = tuple(round(x, 12) for x in node.weights)
-        key.append((node.kind, ps, ws))
-    return tuple(key)
+    nodes, preds, rank = g.nodes, g.preds, g._rank
+    local = {e: 0}
+    members, key = [e], [_node_key(nodes[e], ())]
+    for v in g._order[rank[e] + 1 : rank[x] + 1]:
+        ps = preds[v]
+        if ps[0] in local:
+            local[v] = len(members)
+            members.append(v)
+            ids = (local[ps[0]],) if len(ps) == 1 else tuple(sorted(local[p] for p in ps))
+            key.append(_node_key(nodes[v], ids))
+    return members, tuple(key)
+
+
+def _node_key(node: Node, local_preds: tuple[int, ...]):
+    ws = node.weights
+    return node.kind, local_preds, ws if ws is None else tuple(round(w, 12) for w in ws)
 
 
 def _whole_graph_ref(g: NetworkGraph) -> SubnetworkRef:
@@ -290,15 +320,13 @@ def _whole_graph_ref(g: NetworkGraph) -> SubnetworkRef:
     return SubnetworkRef(entry, g.output, frozenset(range(g.num_nodes)))
 
 
-def _immediate_dominators(order, preds) -> list[int]:
-    """Immediate dominators in a DAG whose only source is order[0].
+def _immediate_dominators(order, preds, rank) -> list[int]:
+    """Immediate dominators in a DAG whose only source is order[0]; rank[v]
+    increases along order.
 
     One pass of the Cooper-Harvey-Kennedy intersection is exact here: every
     node is visited after all of its predecessors.  The root maps to itself.
     """
-    rank = [0] * len(order)
-    for i, v in enumerate(order):
-        rank[v] = i
     idom = [order[0]] * len(order)
     for v in order[1:]:
         ps = preds[v]
@@ -325,10 +353,9 @@ def enumerate_maximal_subnetworks(g: NetworkGraph) -> list[SubnetworkRef]:
     one (see `eval_M` for why dropping it is exact).
     """
     validate_graph(g)
-    order = g._order
-    succ = g.successors()
-    idom = _immediate_dominators(order, g.preds)
-    ipdom = _immediate_dominators(order[::-1], succ)
+    order, rank, nodes = g._order, g._rank, g.nodes
+    idom = _immediate_dominators(order, g.preds, rank)
+    ipdom = _immediate_dominators(order[::-1], g._succ, [-r for r in rank])
 
     # far[v]: furthest post-dominator of v that v dominates.  Along the
     # post-dominator chain these form a prefix, and v dominates ipdom[v]
@@ -344,26 +371,17 @@ def enumerate_maximal_subnetworks(g: NetworkGraph) -> list[SubnetworkRef]:
         d = idom[v]
         if d != v and ipdom[d] == v and first[d] is not None:
             first[v] = first[d]
-        elif g.nodes[v].kind != SUM:
+        elif nodes[v].kind != SUM:
             first[v] = v
 
     # The whole graph is the pair (input, output), order[0] and order[-1].
     # Every other candidate is smaller, so it needs no shape key.
-    rank = {v: i for i, v in enumerate(order)}
     out, seen_shapes = [_whole_graph_ref(g)], set()
     for e in order[1:]:
         x = far[e]
         if first[x] != e:
             continue
-        members, stack = {e}, [e]
-        while stack:
-            v = stack.pop()
-            if v != x:
-                for s in succ[v]:
-                    if s not in members:
-                        members.add(s)
-                        stack.append(s)
-        key = _shape_key(g, sorted(members, key=rank.__getitem__))
+        members, key = _region(g, e, x)
         if key not in seen_shapes:
             seen_shapes.add(key)
             out.append(SubnetworkRef(e, x, frozenset(members)))
@@ -391,30 +409,28 @@ class _Plan:
     exit: int
 
 
-def _lower(g: NetworkGraph, ref: SubnetworkRef) -> _Plan:
+def _lower(g: NetworkGraph, members, entry: int, exit_: int) -> _Plan:
+    """The region with these members, listed in topological order."""
     slot: dict[int, int] = {}
     ops = []
-    for nid in g._order:
-        if nid not in ref.members:
-            continue
+    for nid in members:
         node = g.nodes[nid]
-        if nid == ref.entry:
-            # sum entries are excluded by the enumeration rules
+        if nid == entry or node.kind == INPUT:
+            # sum entries are excluded by the enumeration rules, and a valid
+            # graph's input is its entry
             src = 0
-        elif node.kind in (AFFINE, NONLINEAR):
-            src = slot[g.preds[nid][0]]
         elif node.kind == SUM:
             srcs = tuple(slot[p] for p in g.preds[nid])
             ops.append((_SUM, srcs, tuple(w * w for w in node.weights)))
             slot[nid] = len(ops)
             continue
-        else:  # pragma: no cover - input can only be the entry
-            src = 0
+        else:
+            src = slot[g.preds[nid][0]]
         if node.kind == NONLINEAR:
             ops.append((_NL, src, None))
             src = len(ops)
         slot[nid] = src
-    return _Plan(tuple(ops), slot[ref.exit])
+    return _Plan(tuple(ops), slot[exit_])
 
 
 def _run(plan: _Plan, r, x, r_prime=None):

@@ -32,7 +32,8 @@ from .kernel_maps import (
     _hermite_jet,
     _piecewise_1d,
 )
-from .netgraph import NetworkGraph, eval_M
+from .netgraph import NetworkGraph, build_vanilla, eval_M, eval_U
+from .ode_limit import find_T, psi
 
 __all__ = [
     "TatLreluSolution",
@@ -46,6 +47,8 @@ __all__ = [
     "solve_dks",
     "solve_eoc_smooth",
     "eoc_lrelu",
+    "DepthDeviation",
+    "verify_convergence",
 ]
 
 
@@ -248,40 +251,102 @@ def max_c_value(g: NetworkGraph, alpha: float) -> float:
     return eval_M(g, lambda c: lrelu_c_map(alpha, c), 0.0)
 
 
+def _depth_limit_slope(m: float, eta: float) -> float:
+    """The slope alpha0 that the depth limit predicts for eta.
+
+    A graph whose maximal curvature function has the linear coefficient m
+    composes about m local maps c + coef (sqrt(1 - c^2) - c arccos(c)),
+    so C_f(0) ~ psi(0, m coef) and coef(alpha0) = T(eta) / m, with coef =
+    (1 - alpha)^2 / (pi (1 + alpha^2)).  With s = 1 - pi T(eta) / m that
+    is s alpha^2 - 2 alpha + s = 0, whose root in [0, 1] is s / (1 +
+    sqrt(1 - s^2)); a target the limit cannot reach (s <= 0) gives 0.
+    """
+    k = math.pi * find_T(eta)
+    s = 1.0 - k / m if m > k else 0.0
+    return s / (1.0 + math.sqrt((1.0 - s) * (1.0 + s)))
+
+
+# half-width of the first bracket around the depth-limit slope; every
+# BracketError widens it fourfold
+_ALPHA_HALF_WIDTH = 0.02
+
+
 def solve_tat_lrelu(g: NetworkGraph, eta: float) -> TatLreluSolution:
     """Negative slope alpha with the maximal c-value at 0 equal to eta.
 
-    bisect on alpha in [0, 1] to |residual| <= 1e-6; the maximal c-value
-    is strictly decreasing in alpha and vanishes at alpha = 1.
-    bisection_iterations counts the residuals bisect requests, the one at
-    alpha = 0 included; each alpha takes one eval_M pass, so that residual
-    reuses the max_eta pass and achieved_eta the pass at the answer.  eta is
-    checked before the graph, which eval_M validates when it compiles it.
+    bisect to |residual| <= 1e-6 on a bracket of half-width 0.02 around the
+    depth-limit slope (_depth_limit_slope, from the curvature pass
+    eval_M(g, 1 + x, 0)); the maximal c-value is strictly decreasing in
+    alpha and vanishes at alpha = 1.  A bracket without a sign change is
+    widened fourfold on the side of the root, keeping its end on the other
+    side, within [0, 1].  Once it reaches alpha = 0 with C_f(0) < eta the
+    target is unattainable.  bisection_iterations counts the alphas
+    evaluated, one eval_M pass each: the reported eta is the pass at the
+    answer.  eta is checked before the graph, which eval_M validates when
+    it compiles it.
     """
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must lie strictly inside (0, 1), got {eta}")
-    value = functools.cache(lambda alpha: max_c_value(g, alpha))
-    max_eta = value(0.0)
+    m = eval_M(g, lambda x: 1.0 + x, 0.0)
     if g.nonlinear_count() < 1:
         raise ValueError("graph has no nonlinear node")
-    if eta > max_eta:
-        raise UnattainableTargetError(
-            f"unattainable target; max C_f(0)={max_eta:.10g} < eta={eta}",
-            max_value=max_eta,
-        )
     iterations = 0
 
-    def residual(alpha: float) -> float:
+    @functools.cache
+    def value(alpha: float) -> float:
         nonlocal iterations
         iterations += 1
-        return value(alpha) - eta
+        return max_c_value(g, alpha)
 
-    alpha = bisect(residual, 0.0, 1.0, tol=1e-6)
+    alpha0 = _depth_limit_slope(m, eta)
+    half = _ALPHA_HALF_WIDTH
+    lo, hi = max(0.0, alpha0 - half), min(1.0, alpha0 + half)
+    while True:
+        if lo == 0.0 and (reach := value(0.0)) < eta:
+            raise UnattainableTargetError(
+                f"unattainable target; max C_f(0)={reach:.10g} < eta={eta}",
+                max_value=reach,
+            )
+        try:
+            alpha = bisect(lambda a: value(a) - eta, lo, hi, tol=1e-6)
+            break
+        except BracketError as err:
+            half *= 4.0
+            if err.f_lo < 0.0:  # C_f(0) < eta at both ends: the root is below
+                lo, hi = max(0.0, alpha0 - half), lo
+            else:
+                lo, hi = hi, min(1.0, alpha0 + half)
     return TatLreluSolution(
         alpha=alpha,
         achieved_eta=value(alpha),
         bisection_iterations=iterations,
     )
+
+
+@dataclass(frozen=True)
+class DepthDeviation:
+    depth: int
+    alpha: float
+    max_deviation: float
+
+
+def verify_convergence(eta: float, depths, c_grid) -> list[DepthDeviation]:
+    """Compare finite-depth composed maps against the ODE limit.
+
+    For each depth, solve the negative slope hitting eta, compose the
+    closed-form local map over the grid, and report the max absolute
+    deviation from psi(c, T) with psi(0, T) = eta.
+    """
+    c_grid = np.asarray(c_grid, dtype=float)
+    limit = psi(c_grid, find_T(eta))
+    out = []
+    for depth in depths:
+        g = build_vanilla(depth)
+        alpha = solve_tat_lrelu(g, eta).alpha
+        c = eval_U(g, lambda x: lrelu_c_map(alpha, x), c_grid)
+        out.append(DepthDeviation(depth=depth, alpha=alpha,
+                                  max_deviation=float(np.max(np.abs(c - limit)))))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -352,23 +417,31 @@ def _solve_transform(base: Activation, free_delta: bool, targets):
     """
     k = len(targets)
 
-    def jet(x):
+    latest = [None, None]  # the bytes of the latest x, and evaluate(x)
+
+    def evaluate(x):
         """Coefficients of base(alpha z + beta) + delta, then their x
-        derivatives (d/d delta = e_0), and delta."""
-        out = _hermite_jet(base, x[0], x[1], DEFAULT_QUAD_ORDER)
-        if free_delta:
-            out, delta = np.hstack([out, np.eye(len(out), 1)]), x[2]
-        else:
-            out[0, 1:], delta = 0.0, -out[0, 0]
-        out[0, 0] += delta
-        return out, delta
+        derivatives (d/d delta = e_0); delta; and _moments of the
+        coefficients.  Computed once per distinct x: Newton asks for the
+        Jacobian at the iterate whose residuals it has just accepted, and
+        returns such an iterate."""
+        key = x.tobytes()
+        if latest[0] != key:
+            out = _hermite_jet(base, x[0], x[1], DEFAULT_QUAD_ORDER)
+            if free_delta:
+                out, delta = np.hstack([out, np.eye(len(out), 1)]), x[2]
+            else:
+                out[0, 1:], delta = 0.0, -out[0, 0]
+            out[0, 0] += delta
+            latest[:] = key, (out, delta, _moments(out[:, 0]))
+        return latest[1]
 
     def residuals(x):
-        return _moments(jet(x)[0][:, 0])[0][:k] - targets
+        return evaluate(x)[2][0][:k] - targets
 
     def jacobian(x):
-        j = jet(x)[0]
-        return _moments(j[:, 0])[1][:k] @ j[:, 1:]
+        j, _, (_, grads) = evaluate(x)
+        return grads[:k] @ j[:, 1:]
 
     x0 = _START + (-float(base.value(_START[1])),) if free_delta else _START
     try:
@@ -378,7 +451,7 @@ def _solve_transform(base: Activation, free_delta: bool, targets):
             f"moment system unsolved from {x0}: {err}",
             last_iterate=err.last_iterate, residual=err.residual,
         ) from err
-    a, delta = jet(x)
+    a, delta, _ = evaluate(x)
     phi = TransformedActivation(
         base=base, alpha=float(x[0]), beta=float(x[1]),
         gamma=float(np.sum(a[:, 0] ** 2) ** -0.5), delta=float(delta),

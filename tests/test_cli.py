@@ -382,15 +382,21 @@ class TestOdeCommand:
         rows = list(csv.reader(io.StringIO(out)))
         assert float(rows[-1][1]) == pytest.approx(0.8, abs=1e-6)
 
-    def test_by_eta_near_one_ends_at_eta(self, capsys):
-        # T(1 - 1e-8) is about 21 211; a wrong time ends far from eta.  At
-        # this T the RK4 step is 2.1 and its first step lands on the clip at
-        # 1, which is still within 1e-7 of eta
-        code, out, _ = invoke(["ode", "--eta", "0.99999999"], capsys)
+    def test_by_eta_near_one_refused(self, capsys):
+        # T(1 - 1e-8) is about 21 211, where the RK4 step is 2.1: its first
+        # step lands on the clip at 1 and every row read 1 with exit 0.  Past
+        # T = 850 the rows miss the flow by more than 1e-6, so it is refused
+        code, out, err = invoke(["ode", "--eta", "0.99999999"], capsys)
+        assert code == 1 and out == ""
+        envelope = json.loads(err)
+        assert envelope["error"] == "DomainError"
+        assert "T must lie in [0, 850], got 21210.97" in envelope["message"]
+        # T(1 - 1e-5) = 668.6 is still served, and ends at eta
+        code, out, _ = invoke(["ode", "--eta", "0.99999"], capsys)
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))
-        assert float(rows[-1][0]) == pytest.approx(21210.97, rel=1e-6)
-        assert abs(float(rows[-1][1]) - 0.99999999) <= 1e-7
+        assert float(rows[-1][0]) == pytest.approx(668.5888, rel=1e-6)
+        assert abs(float(rows[-1][1]) - 0.99999) <= 1e-9
 
     def test_nan_c0_fails_cleanly(self, capsys):
         code, out, err = invoke(["ode", "--c0", "nan", "--T", "1"], capsys)

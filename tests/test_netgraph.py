@@ -293,6 +293,37 @@ class TestSubnetworks:
                 outputs.append(capsys.readouterr().out)
             assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("built, same_order", [
+        (build_rescaled_resnet(5, 0.8, branch_nonlinear_count=2), True),
+        (build_rescaled_resnet(6, 0.5, with_transitions=True, final_nonlinear=True), False),
+    ])
+    def test_json_ids_against_topological_order(self, built, same_order):
+        # ids reversed: every edge runs from a higher id to a lower one, so a
+        # region lowered in id order would read slots before writing them.
+        # The candidates are the builder's, mapped; the plans too, op for op,
+        # where the topological order visits the branches in the same order
+        n = built.num_nodes
+        new_id = [n - 1 - i for i in range(n)]
+        doc = graph_to_dict(built)
+        loaded = graph_from_dict({
+            "nodes": [{**node, "id": new_id[node["id"]]} for node in doc["nodes"]],
+            "edges": [[new_id[a], new_id[b]] for a, b in doc["edges"]],
+            "output": new_id[doc["output"]],
+        })
+        mapped = {(new_id[ref.entry], new_id[ref.exit], frozenset(new_id[v] for v in ref.members))
+                  for ref in enumerate_maximal_subnetworks(built)}
+        # the kept representative of a repeated shape may be another block
+        assert {(len(m), loaded.nodes[e].kind) for e, _, m in candidate_set(loaded)} == {
+            (len(m), loaded.nodes[e].kind) for e, _, m in mapped}
+        assert len(candidate_set(loaded)) == len(mapped)
+        if same_order:
+            assert [(p.ops, p.exit) for p in loaded._candidate_plans] == [
+                (p.ops, p.exit) for p in built._candidate_plans]
+        c = np.linspace(-1.0, 1.0, 41)
+        for r in (lambda v: lrelu_c_map(0.3, v), lambda v: 1.0 + v, np.tanh):
+            assert np.array_equal(eval_U(loaded, r, c), eval_U(built, r, c))
+            assert eval_M(loaded, r, 0.0) == eval_M(built, r, 0.0)
+
     @pytest.mark.parametrize("depth", [1, 2, 10, 57, 200])
     def test_vanilla_candidates_pinned(self, depth):
         g = build_vanilla(depth)

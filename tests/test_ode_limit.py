@@ -28,7 +28,7 @@ from qcmap import (
     psi,
     verify_convergence,
 )
-from qcmap.ode_limit import _rk4_states
+from qcmap.ode_limit import _T_MAX, _rk4_states
 
 
 class TestOdeRhs:
@@ -131,6 +131,17 @@ class TestIntegratePsi:
         for f in (integrate_psi, psi):
             with pytest.raises(DomainError):
                 f(c0, T)
+
+    def test_longest_flow_meets_the_time_integral(self):
+        # find_T is the oracle: each recorded row (t, x) from 0 must sit at
+        # time find_T(x).  The step 1e-4 T grows with T, and the miss passes
+        # 1e-6 from T ~ 893, so T = 850 is the longest flow served
+        sol = integrate_psi(0.0, _T_MAX)
+        miss = max(abs(find_T(x) - t) for t, x in zip(sol.times[1:], sol.states[1:]))
+        assert miss <= 1e-6
+        for f in (integrate_psi, psi):
+            with pytest.raises(DomainError, match=r"T must lie in \[0, 850\]"):
+                f(0.0, math.nextafter(_T_MAX, math.inf))
 
     def test_psi_rejects_one_bad_start_in_an_array(self):
         for bad in (2.0, math.nan):

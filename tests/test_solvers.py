@@ -41,6 +41,7 @@ from qcmap import (
     default_rule,
     eoc_lrelu,
     eval_M,
+    find_T,
     local_c,
     solve_dks,
     solve_eoc_smooth,
@@ -303,22 +304,62 @@ class TestSolveTatLrelu:
         build_rescaled_resnet(25, 0.3, with_transitions=True),
     ])
     def test_residual_count(self, graph, eta):
-        # plain halving took 19-23 residuals, one eval_M pass each
+        # plain halving on [0, 1] took 19-23 residuals, one eval_M pass
+        # each, and false position on [0, 1] 5-12; from the depth-limit
+        # slope these cases take 4-5
         sol = solve_tat_lrelu(graph, eta)
         assert max_c_value(graph, sol.alpha) == pytest.approx(eta, abs=1e-6)
-        assert sol.bisection_iterations <= 12
+        assert sol.bisection_iterations <= 5
 
     @pytest.mark.parametrize("graph, eta", [(build_vanilla(10), 0.5),
                                             (build_rescaled_resnet(5, 0.5), 0.3)])
     def test_one_pass_per_residual(self, monkeypatch, graph, eta):
-        # the residual at alpha = 0 reuses the max_eta pass, and achieved_eta
-        # the pass at the returned alpha, which bisect has evaluated
+        # one curvature pass for the depth-limit start, then one pass per
+        # alpha: achieved_eta reuses the pass at the returned alpha, which
+        # bisect has evaluated
         passes = []
         monkeypatch.setattr(solvers, "eval_M", lambda *a: passes.append(a) or eval_M(*a))
         sol = solve_tat_lrelu(graph, eta)
-        assert len(passes) == sol.bisection_iterations
+        assert len(passes) == sol.bisection_iterations + 1
         monkeypatch.undo()
         assert sol.achieved_eta == max_c_value(graph, sol.alpha)
+
+    @pytest.mark.parametrize("graph, eta", [
+        (build_vanilla(1), 0.2), (build_vanilla(2), 0.3), (build_vanilla(5), 0.7),
+        (build_rescaled_resnet(4, 0.8), 0.5),
+    ])
+    def test_start_far_from_the_root_widens(self, graph, eta):
+        # on shallow graphs the depth-limit slope misses by more than the
+        # first bracket's half-width 0.02, below the root on the chains and
+        # above it on the resnet; widening still lands within 1e-6
+        m = eval_M(graph, lambda x: 1.0 + x, 0.0)
+        alpha0 = solvers._depth_limit_slope(m, eta)
+        sol = solve_tat_lrelu(graph, eta)
+        assert abs(alpha0 - sol.alpha) > 0.02
+        assert max_c_value(graph, sol.alpha) == pytest.approx(eta, abs=1e-6)
+        assert sol.bisection_iterations <= 6
+
+    @pytest.mark.parametrize("graph, excess", [
+        (build_vanilla(10), 1e-3), (build_vanilla(3), 1e-7),
+        (build_rescaled_resnet(4, 0.8), 1e-3),
+    ])
+    def test_unattainable_keeps_its_envelope(self, graph, excess):
+        # on the resnet the start lies above 0 (0.059), so the bracket widens
+        # down to alpha = 0 first; max_value is the pass at 0 bit for bit
+        reach = max_c_value(graph, 0.0)
+        with pytest.raises(UnattainableTargetError) as exc:
+            solve_tat_lrelu(graph, reach + excess)
+        assert exc.value.max_value == reach
+        assert str(exc.value) == (
+            f"unattainable target; max C_f(0)={reach:.10g} < eta={reach + excess}")
+
+    def test_depth_limit_slope(self):
+        # coef(alpha0) = T(eta) / m, and 0 where the limit cannot reach eta
+        for m, eta in ((50.0, 0.9), (200.0, 0.5), (112.5, 0.99)):
+            alpha0 = solvers._depth_limit_slope(m, eta)
+            coef = (1.0 - alpha0) ** 2 / (math.pi * (1.0 + alpha0 ** 2))
+            assert coef == pytest.approx(find_T(eta) / m, rel=1e-12)
+        assert solvers._depth_limit_slope(1.0, 0.5) == 0.0
 
     def test_invalid_graph_reported_after_eta(self):
         # the graph is validated once, when eval_M compiles it, so a bad
@@ -647,6 +688,58 @@ def eoc_misses(sol, phi):
 
 
 TRANSFORMED_TANH = TransformedActivation(Tanh(), 1.7, 0.3, 1.2, -0.1)
+
+
+class TestNewtonIterates:
+    # the Hermite jet and the moments of an iterate serve its residuals, the
+    # Jacobian Newton takes there and the returned transform
+    CASES = [
+        (solve_tat_smooth, build_vanilla(50), Tanh(), 0.3,
+         (0.08165523587370946, -0.5258489448021714, 15.941633503382977,
+          0.4831889550303851, 0.006)),
+        (solve_tat_smooth,
+         build_rescaled_resnet(8, 0.5, with_transitions=True, final_nonlinear=True),
+         SoftPlus(), 0.3,
+         (0.3411273339792658, 0.5476787533195923, 4.617027745967283,
+          -0.9986475297522609, 0.015000000000000005)),
+        (solve_dks, build_vanilla(50), SoftPlus(), 1.5,
+         (0.32662517297831484, 0.4093739680012246, 5.094842893486161,
+          -0.9312843021232486, 1.0081422716124293)),
+        (solve_dks,
+         build_rescaled_resnet(25, 0.851568, with_transitions=True, final_nonlinear=True),
+         Tanh(), 20.4677,
+         (0.5271576565267442, -0.8245715761545099, 3.2383041193501803,
+          0.5926989743842611, 1.1187065947370942)),
+    ]
+
+    @pytest.mark.parametrize("solve, graph, base, target, _", CASES)
+    def test_one_jet_per_distinct_iterate(self, monkeypatch, solve, graph, base, target, _):
+        jets, iterates = [], set()
+
+        def counting_jet(*args):
+            jets.append(args)
+            return kernel_maps._hermite_jet(*args)
+
+        def recording(F, x0, jac):
+            def seen(f):
+                return lambda x: iterates.add(x.tobytes()) or f(x)
+            return solve_nonlinear_system(seen(F), x0, jac=seen(jac))
+
+        monkeypatch.setattr(solvers, "_hermite_jet", counting_jet)
+        monkeypatch.setattr(solvers, "solve_nonlinear_system", recording)
+        solve(graph, base, target)
+        assert len(jets) == len(iterates) >= 2
+
+    @pytest.mark.parametrize("solve, graph, base, target, pinned", CASES)
+    def test_answers_pinned(self, solve, graph, base, target, pinned):
+        # the answers of the solver that evaluated each iterate twice; bit
+        # for bit on one machine, to 1e-13 where the BLAS sums differ
+        sol = solve(graph, base, target)
+        target_field = (sol.target_local_cpp1 if solve is solve_tat_smooth
+                        else sol.target_local_cp1)
+        got = (sol.alpha, sol.beta, sol.gamma, sol.delta, target_field)
+        assert got == pytest.approx(pinned, rel=1e-13, abs=1e-15)
+        assert sol.residual_norm <= 1e-12
 
 
 class TestSolveEocSmooth:
