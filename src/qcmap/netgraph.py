@@ -127,7 +127,12 @@ class NetworkGraph:
         return rank
 
     @cached_property
+    def _valid(self) -> None:
+        validate_graph(self)
+
+    @cached_property
     def _whole_plan(self) -> _Plan:
+        self._valid
         ref = _whole_graph_ref(self)
         return _lower(self, self._order, ref.entry, ref.exit)
 
@@ -352,7 +357,7 @@ def enumerate_maximal_subnetworks(g: NetworkGraph) -> list[SubnetworkRef]:
     post-dominates.  Every other subnetwork is a serial piece of a kept
     one (see `eval_M` for why dropping it is exact).
     """
-    validate_graph(g)
+    g._valid
     order, rank, nodes = g._order, g._rank, g.nodes
     idom = _immediate_dominators(order, g.preds, rank)
     ipdom = _immediate_dominators(order[::-1], g._succ, [-r for r in rank])
@@ -542,7 +547,7 @@ def graph_from_dict(data: dict) -> NetworkGraph:
             raise GraphValidationError(f"edge {edge!r} names a node outside 0..{len(nodes) - 1}")
         preds[to].append(frm)
     g = NetworkGraph(tuple(nodes), tuple(tuple(p) for p in preds), output)
-    validate_graph(g)
+    g._valid
     return g
 
 

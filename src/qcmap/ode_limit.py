@@ -53,34 +53,33 @@ def ode_rhs(x):
     return out if out.ndim else float(out)
 
 
-def _rk4_states(x0, T: float, record_every: int = 0):
-    """RK4 flow of the limit ODE from x0 (scalar or array) over [0, T].
-
-    Returns (final_state, times, states); the trajectory is recorded only
-    when record_every > 0 and x0 is scalar.
+def _rk4_states(x, T: float):
+    """RK4 flow of the limit ODE from x (scalar or array in [-1, 1]) over [0, T]:
+    (h, times, states) for n = ceil(T / (1e-4 max(T, 1))) steps of h = T / n,
+    the state recorded every max(1, n // 1000) steps and at T.  No stage is
+    clipped: ode_rhs >= 0 decreases and is <= (pi / 2) (1 - x), so for h <=
+    2 / pi, which _T_MAX also guarantees, each stage lies in [x, x + h
+    ode_rhs(x)] within [x, 1] up to rounding, which ode_rhs's clamp absorbs.
     """
-    x = np.clip(np.asarray(x0, dtype=float), -1.0, 1.0)
-    if T == 0:
-        return x, [0.0], [x]
-    h_max = 1e-4 * max(T, 1.0)
-    n_steps = max(1, math.ceil(T / h_max))
-    h = T / n_steps
-    times, states = [0.0], [float(x) if x.ndim == 0 else x.copy()]
-    for i in range(n_steps):
+    n = math.ceil(T / (1e-4 * max(T, 1.0)))
+    h = T / n if n else 0.0
+    stride = max(1, n // 1000)
+    times, states = [0.0], [x]
+    for i in range(1, n + 1):
         k1 = ode_rhs(x)
-        k2 = ode_rhs(np.clip(x + 0.5 * h * k1, -1.0, 1.0))
-        k3 = ode_rhs(np.clip(x + 0.5 * h * k2, -1.0, 1.0))
-        k4 = ode_rhs(np.clip(x + h * k3, -1.0, 1.0))
+        k2 = ode_rhs(x + 0.5 * h * k1)
+        k3 = ode_rhs(x + 0.5 * h * k2)
+        k4 = ode_rhs(x + h * k3)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         # rounding may push the state a hair past the equilibrium at 1
         x = np.clip(x, -1.0, 1.0)
-        if record_every and (i + 1) % record_every == 0:
-            times.append((i + 1) * h)
-            states.append(float(x) if x.ndim == 0 else x.copy())
-    if record_every and not math.isclose(times[-1], T):
+        if i % stride == 0:
+            times.append(i * h)
+            states.append(x)
+    if n % stride:
         times.append(T)
-        states.append(float(x) if x.ndim == 0 else x.copy())
-    return x, times, states
+        states.append(x)
+    return h, times, states
 
 
 def _checked_start(c0, T: float):
@@ -98,24 +97,16 @@ def _checked_start(c0, T: float):
 
 def psi(c0, T: float):
     """Flow value psi(c0, T); c0 may be an array."""
-    x, _, _ = _rk4_states(_checked_start(c0, T), T)
+    x = _rk4_states(_checked_start(c0, T), T)[2][-1]
     return x if np.ndim(x) else float(x)
 
 
 def integrate_psi(c0: float, T: float) -> OdeSolution:
     """Integrate from c0 for time T, recording a sampled trajectory."""
     c0 = float(_checked_start(c0, T))
-    h_max = 1e-4 * max(T, 1.0)
-    n_steps = max(1, math.ceil(T / h_max)) if T > 0 else 1
-    record_every = max(1, n_steps // 1000)
-    x, times, states = _rk4_states(c0, T, record_every=record_every)
-    return OdeSolution(
-        c0=c0,
-        T=T,
-        step_size=(T / n_steps) if T > 0 else 0.0,
-        times=tuple(times),
-        states=tuple(float(s) for s in states),
-    )
+    h, times, states = _rk4_states(c0, T)
+    return OdeSolution(c0=c0, T=T, step_size=h, times=tuple(times),
+                       states=tuple(float(s) for s in states))
 
 
 def find_T(eta: float) -> float:

@@ -647,9 +647,13 @@ class TestCompiledProgram:
     def test_unnormalized_graph_is_never_cached(self):
         nodes = (Node(0, INPUT), Node(1, AFFINE), Node(2, NONLINEAR), Node(3, SUM, (0.5, 0.5)))
         g = NetworkGraph(nodes, ((), (0,), (1,), (0, 2)), 3)
-        for _ in range(2):
-            with pytest.raises(GraphValidationError, match="unnormalized sum"):
-                eval_M(g, lambda c: c, 0.0)
+        identity = lambda c: c
+        # eval_U once read 0.15 at 0.3 here: every evaluator checks the graph
+        for evaluate in (lambda: eval_M(g, identity, 0.3), lambda: eval_U(g, identity, 0.3),
+                         lambda: eval_U_with_derivative(g, identity, lambda c: 1.0, 0.3)):
+            for _ in range(2):
+                with pytest.raises(GraphValidationError, match="unnormalized sum"):
+                    evaluate()
 
     def test_cache_leaves_equality_and_hash_alone(self):
         g, h = build_rescaled_resnet(4, 0.5), build_rescaled_resnet(4, 0.5)

@@ -96,13 +96,24 @@ class TestPsi:
 
     def test_step_halving_consistency(self):
         # halving the step changes psi by O(h^4); require agreement to 1e-10
-        x_h, _, _ = _rk4_states(0.0, 3.0)
+        _, _, states = _rk4_states(0.0, 3.0)
         fine = psi(0.0, 3.0)
         # integrate with double the duration resolution by splitting in two
         mid = psi(0.0, 1.5)
         two_stage = psi(mid, 1.5)
-        assert float(x_h) == pytest.approx(fine, abs=0)
+        assert float(states[-1]) == fine
         assert two_stage == pytest.approx(fine, abs=1e-10)
+
+    @pytest.mark.parametrize("T", [1e-9, 1e-4, 0.37, 1.0, 8.0, _T_MAX])
+    def test_starts_next_to_the_ends_stay_inside_in_order(self, T):
+        # no RK4 stage is clipped: each must stay within ode_rhs's 1e-12
+        # tolerance of [-1, 1] on its own, from starts 1e-16 ... 1e-1 inside
+        gaps = 10.0 ** -np.arange(1, 17)
+        c = np.sort(np.concatenate([-1.0 + gaps, 1.0 - gaps, [-1.0, 0.0, 1.0]]))
+        out = psi(c, T)
+        assert np.all((-1.0 <= out) & (out <= 1.0))
+        assert np.all(np.diff(out) >= 0.0)
+        assert [psi(float(v), T) for v in c[::5]] == out[::5].tolist()
 
 
 class TestIntegratePsi:
@@ -118,6 +129,28 @@ class TestIntegratePsi:
     def test_zero_duration(self):
         sol = integrate_psi(0.3, 0.0)
         assert sol.final == 0.3
+        assert sol.step_size == 0.0
+        assert sol.times == (0.0,) and sol.states == (0.3,)
+
+    @pytest.mark.parametrize("c0, T, rows", [
+        # (index, t, x) rows as the RK4 pass of the parent design recorded them
+        (0.0, find_T(0.9), [(1, 0.004509938135408464, 0.004494016332795024),
+                            (500, 2.254969067704232, 0.7712920789976967),
+                            (1000, 4.509938135408464, 0.8999999999999992)]),
+        (0.2, 3.7, [(1, 0.0037, 0.20260525878658972),
+                    (500, 1.8499999999999999, 0.7527867236106004),
+                    (1000, 3.6999999999999997, 0.8803575556377423)]),
+        (0.0, _T_MAX, [(1, 0.8500000000000001, 0.5018606947582996),
+                       (500, 425.00000000000006, 0.9999753460690456),
+                       (1000, 850.0000000000001, 0.9999938042030251)]),
+    ])
+    def test_recorded_rows_are_pinned(self, c0, T, rows):
+        sol = integrate_psi(c0, T)
+        assert len(sol.times) == len(sol.states) == 1001
+        assert sol.step_size == pytest.approx(T / 10_000, rel=1e-15)
+        for k, t, x in rows:
+            assert sol.times[k] == pytest.approx(t, rel=1e-13)
+            assert sol.states[k] == pytest.approx(x, rel=1e-13)
 
     def test_bad_c0_rejected(self):
         with pytest.raises(DomainError):

@@ -16,14 +16,16 @@ change's tier-1 suite runs once with -W error::RuntimeWarning and
 The only file written in the repository is --out:
     {git_sha, parent_sha, numpy, cores, seeds, seconds, src_lines: {parent,
      change}, workloads: {name: {metric: {parent: [median, q1, q3], change:
-     [...], wins, pairs, verdict}}, failed, runs}, trace: {name: {metric:
-     {parent, change}}}, tier1}
+     [...], wins, pairs, verdict}}, failed, attempted, failed_share, runs},
+     trace: {name: {metric: {parent, change}}}, tier1}
 where src_lines counts the lines of src/**/*.py in each exported tree (the
 net-lines metric of ROADMAP.md) and wins counts the pairs in which the
 change is better in the direction BENCHMARK.json gives the metric.  verdict judges the metric against its
 BENCHMARK.json bound: "worse" when the change's median is past the bound,
 else "unresolved" when the parent's quartile spread exceeds the bound and
-not every change run beats every parent run, else "ok".  Nothing under
+not every change run beats every parent run, else "ok".  failed_share
+totals each side's failed and attempted requests over its runs and is
+"worse" when the change fails a larger share of them.  Nothing under
 perfbench/ or BENCHMARK.json is changed; the benchmark's own command and
 bounds are used as they are.
 """
@@ -97,6 +99,17 @@ def verdict(parent: list[float], change: list[float], sign: float, bound: float)
     if p_q3 - p_q1 > bound * abs(p_med) and not all_beat:
         return "unresolved"
     return "ok"
+
+
+def failed_share(failed: dict[str, list[int]], attempted: dict[str, list[int]]) -> dict:
+    """{side: {failed, attempted, share}} summed over each side's runs, and a
+    verdict: "worse" when the change's share of failed requests is higher."""
+    out = {}
+    for side in ("parent", "change"):
+        f, a = sum(failed[side]), sum(attempted[side])
+        out[side] = {"failed": f, "attempted": a, "share": f / a if a else 0.0}
+    out["verdict"] = "worse" if out["change"]["share"] > out["parent"]["share"] else "ok"
+    return out
 
 
 def summarize(runs: list[dict], metrics: dict[str, dict]) -> dict:
@@ -180,10 +193,11 @@ def main(argv=None) -> int:
                 print(f"# {workload} seed {seed}: " + ", ".join(
                     f"{side} {pair[side]['metrics']['req_per_s']['value']:.2f} req/s"
                     for side in ("parent", "change")), file=sys.stderr, flush=True)
+            failed = {side: [r[side]["failed"] for r in runs] for side in sides}
+            attempted = {side: [r[side]["attempted"] for r in runs] for side in sides}
             record["workloads"][workload] = dict(
-                summarize(runs, metrics),
-                failed={side: [r[side]["failed"] for r in runs] for side in sides},
-                attempted={side: [r[side]["attempted"] for r in runs] for side in sides},
+                summarize(runs, metrics), failed=failed, attempted=attempted,
+                failed_share=failed_share(failed, attempted),
                 runs=[{"seed": r["seed"], "first": r["first"],
                        **{side: {k: v["value"] for k, v in r[side]["metrics"].items()}
                           for side in sides}} for r in runs],
