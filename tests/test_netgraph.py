@@ -648,7 +648,7 @@ class TestCompiledProgram:
         nodes = (Node(0, INPUT), Node(1, AFFINE), Node(2, NONLINEAR), Node(3, SUM, (0.5, 0.5)))
         g = NetworkGraph(nodes, ((), (0,), (1,), (0, 2)), 3)
         identity = lambda c: c
-        # eval_U once read 0.15 at 0.3 here: every evaluator checks the graph
+        # every evaluator checks the graph first, not only eval_M's compile
         for evaluate in (lambda: eval_M(g, identity, 0.3), lambda: eval_U(g, identity, 0.3),
                          lambda: eval_U_with_derivative(g, identity, lambda c: 1.0, 0.3)):
             for _ in range(2):

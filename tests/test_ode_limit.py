@@ -133,7 +133,7 @@ class TestIntegratePsi:
         assert sol.times == (0.0,) and sol.states == (0.3,)
 
     @pytest.mark.parametrize("c0, T, rows", [
-        # (index, t, x) rows as the RK4 pass of the parent design recorded them
+        # (index, t, x) rows of the RK4 record; 1e-13 leaves room for other libms
         (0.0, find_T(0.9), [(1, 0.004509938135408464, 0.004494016332795024),
                             (500, 2.254969067704232, 0.7712920789976967),
                             (1000, 4.509938135408464, 0.8999999999999992)]),
