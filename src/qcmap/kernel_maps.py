@@ -351,7 +351,9 @@ class KernelMap:
     tail_bound bounds the truncation error over |c| <= 1: 0 for the closed
     form; for the series sigma_w^2 sqrt(r(q1) r(q2)) / sqrt(Q(q1) Q(q2)),
     where r(q) = E[phi(sqrt(q) z)^2] - sum of the kept squared coefficients
-    (Cauchy-Schwarz on the dropped terms); None for quadrature.  Calls
+    (Cauchy-Schwarz on the dropped terms), doubled when q1 = q2, where the
+    series is divided by its kept mass so that C(1) = 1 (for c >= 0 one
+    tail still bounds the error); None for quadrature.  Calls
     follow local_c: arrays broadcast, scalars give a float, |c| > 1 + 1e-12
     raises DomainError and NaN passes through.
     """
@@ -442,10 +444,16 @@ def kernel_map(params: LocalMapParams, q1: float = 1.0, q2: float = 1.0) -> Kern
     done = ((r1 - max(r1[-1], 0.0) <= _HERMITE_RTOL * m1)
             & (r2 - max(r2[-1], 0.0) <= _HERMITE_RTOL * m2))
     n = int(np.argmax(done))
-    denom = math.sqrt((sw2 * m1 + sb2) * (sw2 * m2 + sb2))
+    full = math.sqrt((sw2 * m1 + sb2) * (sw2 * m2 + sb2))
+    tail = sw2 * math.sqrt(max(r1[n], 0.0) * max(r2[n], 0.0)) / full
+    denom = full
+    if q2 == q1:
+        # the kept mass makes C(1) = 1 to rounding, where E[phi^2] leaves
+        # 1 - tail for C'(1) > 1 to amplify down a deep chain; the rescaling
+        # moves the map by at most one more tail
+        denom, tail = sw2 * float(np.dot(a1[: n + 1], a1[: n + 1])) + sb2, 2.0 * tail
     coef = sw2 * a1[: n + 1] * a2[: n + 1] / denom
     coef[0] += sb2 / denom
-    tail = sw2 * math.sqrt(max(r1[n], 0.0) * max(r2[n], 0.0)) / denom
 
     def local(c):
         out = np.polynomial.polynomial.polyval(_clamp_unit(c, "kernel_map"), coef)

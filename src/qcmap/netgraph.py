@@ -10,11 +10,13 @@ The candidates come from the graph's structure alone.  A subnetwork is a
 single-entry single-exit region (e, x): e dominates x, x post-dominates e,
 and e is not a sum.  Extending a region serially, at its exit or before its
 entry, never lowers its value when the rule r is non-decreasing with
-r(y) >= y, so only maximal regions are kept, one per distinct shape.
+r(y) >= y, so only maximal regions are kept, one per distinct program:
+affine nodes emit no op, so regions that differ only by affine nodes count
+once.
 
 Each graph is lowered once, on first use, into flat programs (one for the
-whole graph, one per candidate subnetwork) cached on the graph object; a
-single interpreter, ``_run``, evaluates all of them.
+whole graph, one per distinct candidate subnetwork) cached on the graph
+object; a single interpreter, ``_run``, evaluates all of them.
 """
 
 from __future__ import annotations
@@ -132,19 +134,13 @@ class NetworkGraph:
 
     @cached_property
     def _whole_plan(self) -> _Plan:
+        # a valid graph's only source is its input, order[0]
         self._valid
-        ref = _whole_graph_ref(self)
-        return _lower(self, self._order, ref.entry, ref.exit)
+        return _lower(self, self._order[0], self.output)[0]
 
     @cached_property
-    def _candidate_plans(self) -> tuple[_Plan, ...]:
-        # the first candidate is the whole graph; every other one is lowered
-        # over its own members only, put in topological order
-        refs = enumerate_maximal_subnetworks(self)
-        rank = self._rank.__getitem__
-        return (self._whole_plan,) + tuple(
-            _lower(self, sorted(ref.members, key=rank), ref.entry, ref.exit) for ref in refs[1:]
-        )
+    def _candidate_plans(self) -> dict[_Plan, tuple[int, int, list[int]]]:
+        return _compile(self)
 
 
 def validate_graph(g: NetworkGraph) -> None:
@@ -292,39 +288,6 @@ def build_rescaled_resnet(
 # subnetwork enumeration
 
 
-def _region(g: NetworkGraph, e: int, x: int):
-    """Members of the region (e, x) in topological order, and its shape key.
-
-    The members are the nodes on e -> x paths.  As x post-dominates e, they
-    are the nodes from e to x in the topological order that e reaches.
-    There, each member but e has only members as predecessors and every
-    other node has none, so a node's first predecessor decides.  The key
-    identifies the region up to isomorphism: node kinds with locally
-    renumbered predecessor lists (sum weights included, rounded).
-    """
-    nodes, preds, rank = g.nodes, g.preds, g._rank
-    local = {e: 0}
-    members, key = [e], [_node_key(nodes[e], ())]
-    for v in g._order[rank[e] + 1 : rank[x] + 1]:
-        ps = preds[v]
-        if ps[0] in local:
-            local[v] = len(members)
-            members.append(v)
-            ids = (local[ps[0]],) if len(ps) == 1 else tuple(sorted(local[p] for p in ps))
-            key.append(_node_key(nodes[v], ids))
-    return members, tuple(key)
-
-
-def _node_key(node: Node, local_preds: tuple[int, ...]):
-    ws = node.weights
-    return node.kind, local_preds, ws if ws is None else tuple(round(w, 12) for w in ws)
-
-
-def _whole_graph_ref(g: NetworkGraph) -> SubnetworkRef:
-    entry = next(n.id for n in g.nodes if n.kind == INPUT)
-    return SubnetworkRef(entry, g.output, frozenset(range(g.num_nodes)))
-
-
 def _immediate_dominators(order, preds, rank) -> list[int]:
     """Immediate dominators in a DAG whose only source is order[0]; rank[v]
     increases along order.
@@ -346,8 +309,9 @@ def _immediate_dominators(order, preds, rank) -> list[int]:
     return idom
 
 
-def enumerate_maximal_subnetworks(g: NetworkGraph) -> list[SubnetworkRef]:
-    """Maximal subnetworks, one per distinct shape, from the graph's structure.
+def _compile(g: NetworkGraph) -> dict[_Plan, tuple[int, int, list[int]]]:
+    """The maximal subnetworks of g lowered, one per distinct program:
+    {plan: (entry, exit, members)}, the whole graph first.
 
     On a valid graph a single-entry single-exit connected sub-DAG is exactly
     a pair (e, x) with e dominating x, x post-dominating e and e not a sum;
@@ -355,9 +319,12 @@ def enumerate_maximal_subnetworks(g: NetworkGraph) -> list[SubnetworkRef]:
     neither end can move: x is the furthest post-dominator of e that e still
     dominates, and e the earliest non-sum dominator of x that x still
     post-dominates.  Every other subnetwork is a serial piece of a kept
-    one (see `eval_M` for why dropping it is exact).
+    one (see `eval_M` for why dropping it is exact).  Pairs that lower to
+    the same program take the same value under every rule, so only the
+    first is kept; as affine nodes emit no op, regions that differ only by
+    affine nodes count once.
     """
-    g._valid
+    whole = g._whole_plan  # validates g first
     order, rank, nodes = g._order, g._rank, g.nodes
     idom = _immediate_dominators(order, g.preds, rank)
     ipdom = _immediate_dominators(order[::-1], g._succ, [-r for r in rank])
@@ -379,18 +346,21 @@ def enumerate_maximal_subnetworks(g: NetworkGraph) -> list[SubnetworkRef]:
         elif nodes[v].kind != SUM:
             first[v] = v
 
-    # The whole graph is the pair (input, output), order[0] and order[-1].
-    # Every other candidate is smaller, so it needs no shape key.
-    out, seen_shapes = [_whole_graph_ref(g)], set()
+    # the whole graph is the pair (order[0], order[-1]) and holds every node
+    out = {whole: (order[0], g.output, list(order))}
     for e in order[1:]:
         x = far[e]
-        if first[x] != e:
-            continue
-        members, key = _region(g, e, x)
-        if key not in seen_shapes:
-            seen_shapes.add(key)
-            out.append(SubnetworkRef(e, x, frozenset(members)))
+        if first[x] == e:
+            plan, members = _lower(g, e, x)
+            out.setdefault(plan, (e, x, members))
     return out
+
+
+def enumerate_maximal_subnetworks(g: NetworkGraph) -> list[SubnetworkRef]:
+    """Maximal subnetworks, one per distinct program, from the graph's
+    structure; the whole graph comes first (see `_compile`)."""
+    return [SubnetworkRef(e, x, frozenset(members))
+            for e, x, members in g._candidate_plans.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -414,28 +384,36 @@ class _Plan:
     exit: int
 
 
-def _lower(g: NetworkGraph, members, entry: int, exit_: int) -> _Plan:
-    """The region with these members, listed in topological order."""
+def _lower(g: NetworkGraph, entry: int, exit_: int) -> tuple[_Plan, list[int]]:
+    """The region (entry, exit) as a program, and its members in topological
+    order.
+
+    The members are the nodes on entry -> exit paths.  As exit post-dominates
+    entry, they are the nodes from entry to exit in the topological order
+    that entry reaches.  There, each member but the entry has only members
+    as predecessors and every other node has none, so a node's first
+    predecessor decides.  The entry is never a sum (see `_compile`).
+    """
+    rank = g._rank
     slot: dict[int, int] = {}
-    ops = []
-    for nid in members:
-        node = g.nodes[nid]
-        if nid == entry or node.kind == INPUT:
-            # sum entries are excluded by the enumeration rules, and a valid
-            # graph's input is its entry
+    ops, members = [], []
+    for v in g._order[rank[entry] : rank[exit_] + 1]:
+        node, ps = g.nodes[v], g.preds[v]
+        if v == entry:
             src = 0
-        elif node.kind == SUM:
-            srcs = tuple(slot[p] for p in g.preds[nid])
-            ops.append((_SUM, srcs, tuple(w * w for w in node.weights)))
-            slot[nid] = len(ops)
+        elif ps[0] not in slot:
             continue
+        elif node.kind == SUM:
+            ops.append((_SUM, tuple(slot[p] for p in ps), tuple(w * w for w in node.weights)))
+            src = len(ops)
         else:
-            src = slot[g.preds[nid][0]]
+            src = slot[ps[0]]
         if node.kind == NONLINEAR:
             ops.append((_NL, src, None))
             src = len(ops)
-        slot[nid] = src
-    return _Plan(tuple(ops), slot[exit_])
+        slot[v] = src
+        members.append(v)
+    return _Plan(tuple(ops), slot[exit_]), members
 
 
 def _run(plan: _Plan, r, x, r_prime=None):

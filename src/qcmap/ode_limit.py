@@ -53,19 +53,20 @@ def ode_rhs(x):
     return out if out.ndim else float(out)
 
 
-def _rk4_states(x, T: float):
-    """RK4 flow of the limit ODE from x (scalar or array in [-1, 1]) over [0, T]:
-    (h, times, states) for n = ceil(T / (1e-4 max(T, 1))) steps of h = T / n,
-    the state recorded every max(1, n // 1000) steps and at T.  No stage is
-    clipped: ode_rhs >= 0 decreases and is <= (pi / 2) (1 - x), so for h <=
-    2 / pi, which _T_MAX also guarantees, each stage lies in [x, x + h
-    ode_rhs(x)] within [x, 1] up to rounding, which ode_rhs's clamp absorbs.
-    """
+def _rk4_steps(T: float):
+    """(n, h): n = ceil(T / (1e-4 max(T, 1))) steps of h = T / n over [0, T]."""
     n = math.ceil(T / (1e-4 * max(T, 1.0)))
-    h = T / n if n else 0.0
-    stride = max(1, n // 1000)
-    times, states = [0.0], [x]
-    for i in range(1, n + 1):
+    return n, T / n if n else 0.0
+
+
+def _rk4_states(x, n: int, h: float):
+    """RK4 flow of the limit ODE from x (scalar or array in [-1, 1]): the
+    state after each of n steps of h.  No stage is clipped: ode_rhs >= 0
+    decreases and is <= (pi / 2) (1 - x), so for h <= 2 / pi, which _T_MAX
+    also guarantees, each stage lies in [x, x + h ode_rhs(x)] within [x, 1]
+    up to rounding, which ode_rhs's clamp absorbs.
+    """
+    for _ in range(n):
         k1 = ode_rhs(x)
         k2 = ode_rhs(x + 0.5 * h * k1)
         k3 = ode_rhs(x + 0.5 * h * k2)
@@ -73,13 +74,7 @@ def _rk4_states(x, T: float):
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         # rounding may push the state a hair past the equilibrium at 1
         x = np.clip(x, -1.0, 1.0)
-        if i % stride == 0:
-            times.append(i * h)
-            states.append(x)
-    if n % stride:
-        times.append(T)
-        states.append(x)
-    return h, times, states
+        yield x
 
 
 def _checked_start(c0, T: float):
@@ -96,17 +91,28 @@ def _checked_start(c0, T: float):
 
 
 def psi(c0, T: float):
-    """Flow value psi(c0, T); c0 may be an array."""
-    x = _rk4_states(_checked_start(c0, T), T)[2][-1]
+    """Flow value psi(c0, T); c0 may be an array.  Only the current state is kept."""
+    x = _checked_start(c0, T)
+    for x in _rk4_states(x, *_rk4_steps(T)):
+        pass
     return x if np.ndim(x) else float(x)
 
 
 def integrate_psi(c0: float, T: float) -> OdeSolution:
-    """Integrate from c0 for time T, recording a sampled trajectory."""
+    """Integrate from c0 for time T, recording the state every max(1, n //
+    1000) of the n steps and at T."""
     c0 = float(_checked_start(c0, T))
-    h, times, states = _rk4_states(c0, T)
-    return OdeSolution(c0=c0, T=T, step_size=h, times=tuple(times),
-                       states=tuple(float(s) for s in states))
+    n, h = _rk4_steps(T)
+    stride = max(1, n // 1000)
+    times, states = [0.0], [c0]
+    for i, x in enumerate(_rk4_states(c0, n, h), 1):
+        if i % stride == 0:
+            times.append(i * h)
+            states.append(float(x))
+    if n % stride:
+        times.append(T)
+        states.append(float(x))
+    return OdeSolution(c0=c0, T=T, step_size=h, times=tuple(times), states=tuple(states))
 
 
 def find_T(eta: float) -> float:

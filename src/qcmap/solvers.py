@@ -487,6 +487,8 @@ def solve_tat_smooth(g: NetworkGraph, base: Activation, tau: float) -> TatSmooth
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
     m = eval_M(g, lambda x: 1.0 + x, 0.0)  # curvature rule with C''(1) = 1
+    if g.nonlinear_count() < 1:
+        raise ValueError("graph has no nonlinear node")
     target = tau / m
     phi, deviation = _solve_transform(base, True, np.array([1.0, 1.0, target]))
     return TatSmoothSolution(

@@ -1,4 +1,5 @@
-"""Tests for the verdicts of tools/bench_record.py, loaded by its path."""
+"""Tests for the verdicts and line counts of tools/bench_record.py, loaded by
+its path."""
 
 import importlib.util
 from pathlib import Path
@@ -48,3 +49,17 @@ class TestFailedShare:
                                         {"parent": [0], "change": [300]})
         assert out["parent"]["share"] == out["change"]["share"] == 0.0
         assert out["verdict"] == "ok"
+
+
+class TestSrcLines:
+    def test_counts_each_python_file_under_src(self, tmp_path):
+        pkg = tmp_path / "src" / "pkg"
+        (pkg / "sub").mkdir(parents=True)
+        (pkg / "a.py").write_text("x = 1\ny = 2\n")
+        (pkg / "sub" / "b.py").write_text("z = 3\n# no newline at the end")
+        (pkg / "notes.txt").write_text("not code\n")
+        (tmp_path / "tools").mkdir()
+        (tmp_path / "tools" / "c.py").write_text("outside src\n")
+        assert bench_record.src_lines_by_file(tmp_path) == {
+            "src/pkg/a.py": 2, "src/pkg/sub/b.py": 1}
+        assert bench_record.src_lines(tmp_path) == 3

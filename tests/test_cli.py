@@ -192,6 +192,18 @@ class TestSolveCommand:
         assert envelope["error"] == error
         assert envelope["context"] == context
 
+    def test_tat_smooth_without_nonlinear_node_refused(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"nodes": [{"id": 0, "kind": "input"},
+                                              {"id": 1, "kind": "affine"}],
+                                    "edges": [[0, 1]], "output": 1}))
+        code, out, err = invoke(["solve", "--method", "tat-smooth", "--activation", "tanh",
+                                 "--tau", "0.3", "--graph", f"file:{path}"], capsys)
+        assert code == 1 and out == ""
+        envelope = _envelope(err)
+        assert envelope["error"] == "ValueError"
+        assert envelope["message"] == "graph has no nonlinear node"
+
     def test_eoc_softplus_refused_in_bounded_time(self, capsys):
         # softplus reaches C'(1) = 1 only as q* diverges; the refusal must
         # not wait on the fixed-point iteration creeping towards it
@@ -282,6 +294,15 @@ class TestCmapCommand:
         assert code == 1 and out == ""
         envelope = json.loads(err)
         assert envelope["error"] == error and flags[0] in envelope["message"]
+
+    def test_deep_tanh_chain_keeps_its_fixed_points(self, capsys):
+        # c = 1 is a fixed point of every C map with q1 = q2 and tanh is odd,
+        # so C_f(-1) = -1 and C_f(1) = 1 exactly, however deep the chain
+        code, out, _ = invoke(["cmap", "--graph", "vanilla:200", "--activation", "tanh"],
+                              capsys)
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[1] == ["-1", "-1"] and rows[-1] == ["1", "1"]
 
     def test_resnet_graph_spec(self, capsys):
         code, out, _ = invoke(

@@ -147,6 +147,25 @@ def graph_to_dict(g):
     return {"nodes": nodes, "edges": edges, "output": g.output}
 
 
+def nested_blocks(inner_weights):
+    """Residual blocks, one per inner weight, whose branches hold an inner
+    residual block with that shortcut weight."""
+    nodes, preds = [Node(0, INPUT)], [()]
+
+    def add(kind, ps, weights=None):
+        nodes.append(Node(len(nodes), kind, weights))
+        preds.append(ps)
+        return len(nodes) - 1
+
+    entry = 0
+    for w in inner_weights:
+        n1 = add(NONLINEAR, (add(AFFINE, (entry,)),))
+        n2 = add(NONLINEAR, (add(AFFINE, (n1,)),))
+        inner = add(SUM, (n1, n2), (w, math.sqrt(1 - w * w)))
+        entry = add(SUM, (entry, inner), (0.95, math.sqrt(1 - 0.95 ** 2)))
+    return NetworkGraph(tuple(nodes), tuple(preds), entry)
+
+
 def candidate_set(g):
     return {(ref.entry, ref.exit, ref.members) for ref in enumerate_maximal_subnetworks(g)}
 
@@ -365,6 +384,22 @@ class TestSubnetworks:
         # two residual blocks whose branches hold an inner sum: same wiring,
         # different inner weights, so both branches stay candidates (next to
         # the whole graph and the inner 1-layer branch)
+        g = nested_blocks((0.99, 0.6))
+        assert len(candidate_set(g)) == 4
+        for r in (lambda x: 1.0 + x, lambda c: lrelu_c_map(0.3, c)):
+            assert eval_M(g, r, 0.0) == oracle_max(g, r, 0.0)
+
+    def test_weights_equal_to_twelve_digits_stay_apart(self):
+        # inner weights 1e-13 apart give two programs, so the maximum over
+        # the candidates is the exhaustive one bit for bit
+        g = nested_blocks((0.6 + 1e-13, 0.6))
+        assert len(candidate_set(g)) == 4
+        for r in (lambda x: 1.0 + x, lambda c: lrelu_c_map(0.3, c)):
+            assert eval_M(g, r, 0.0) == oracle_max(g, r, 0.0)
+
+    def test_branches_differing_by_an_affine_node_count_once(self):
+        # affine nodes emit no op: the second branch lowers to the first
+        # one's program, so it adds no candidate
         nodes, preds = [Node(0, INPUT)], [()]
 
         def add(kind, ps, weights=None):
@@ -373,15 +408,25 @@ class TestSubnetworks:
             return len(nodes) - 1
 
         entry = 0
-        for w in (0.99, 0.6):
-            n1 = add(NONLINEAR, (add(AFFINE, (entry,)),))
-            n2 = add(NONLINEAR, (add(AFFINE, (n1,)),))
-            inner = add(SUM, (n1, n2), (w, math.sqrt(1 - w * w)))
-            entry = add(SUM, (entry, inner), (0.95, math.sqrt(1 - 0.95 ** 2)))
+        for extra_affine in (False, True):
+            cur = add(NONLINEAR, (add(AFFINE, (entry,)),))
+            if extra_affine:
+                cur = add(AFFINE, (cur,))
+            cur = add(NONLINEAR, (add(AFFINE, (cur,)),))
+            entry = add(SUM, (entry, cur), (0.6, 0.8))
         g = NetworkGraph(tuple(nodes), tuple(preds), entry)
-        assert len(candidate_set(g)) == 4
+        assert len(candidate_set(g)) == 2
         for r in (lambda x: 1.0 + x, lambda c: lrelu_c_map(0.3, c)):
             assert eval_M(g, r, 0.0) == oracle_max(g, r, 0.0)
+
+    def test_whole_graph_enters_at_its_input_whatever_its_id(self):
+        # input -> nonlinear -> affine -> nonlinear at positions 0..3, with
+        # ids that are not the positions: the input's id names position 3
+        nodes = (Node(3, INPUT), Node(1, NONLINEAR), Node(2, AFFINE), Node(0, NONLINEAR))
+        g = NetworkGraph(nodes, ((), (0,), (1,), (2,)), 3)
+        assert eval_U(g, lambda x: 1.0 + x, 0.0) == 2.0
+        assert eval_M(g, lambda x: 1.0 + x, 0.0) == 2.0
+        assert enumerate_maximal_subnetworks(g)[0].entry == 0
 
     def test_graph_has_only_structure_fields(self):
         names = [f.name for f in dataclasses.fields(NetworkGraph)]
@@ -609,29 +654,31 @@ class TestJsonGraphs:
 
 class TestCompiledProgram:
     def test_validates_and_enumerates_once_per_graph(self, monkeypatch):
-        calls = {"validate": 0, "enumerate": 0}
-        validate, enumerate_ = netgraph.validate_graph, netgraph.enumerate_maximal_subnetworks
+        # the candidates are enumerated by the compile, once per graph object
+        calls = {"validate": 0, "compile": 0}
+        validate, compile_ = netgraph.validate_graph, netgraph._compile
 
         def counting_validate(g):
             calls["validate"] += 1
             return validate(g)
 
-        def counting_enumerate(g):
-            calls["enumerate"] += 1
-            return enumerate_(g)
+        def counting_compile(g):
+            calls["compile"] += 1
+            return compile_(g)
 
         monkeypatch.setattr(netgraph, "validate_graph", counting_validate)
-        monkeypatch.setattr(netgraph, "enumerate_maximal_subnetworks", counting_enumerate)
+        monkeypatch.setattr(netgraph, "_compile", counting_compile)
         g = build_rescaled_resnet(8, 0.5, branch_nonlinear_count=2, with_transitions=True)
         r = lambda c: lrelu_c_map(0.3, c)
         first = eval_M(g, r, 0.0)
         for _ in range(4):
             assert eval_M(g, r, 0.0) == first
-        assert calls == {"validate": 1, "enumerate": 1}
+        enumerate_maximal_subnetworks(g)
+        assert calls == {"validate": 1, "compile": 1}
         # an equal but distinct graph object compiles its own program
         eval_M(build_rescaled_resnet(8, 0.5, branch_nonlinear_count=2, with_transitions=True),
                lambda c: c, 0.0)
-        assert calls == {"validate": 2, "enumerate": 2}
+        assert calls == {"validate": 2, "compile": 2}
 
     def test_invalid_graph_raises_on_every_call(self):
         nodes = (Node(0, INPUT), Node(1, AFFINE), Node(2, AFFINE))

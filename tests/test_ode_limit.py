@@ -14,6 +14,7 @@ Oracles:
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from qcmap import (
     psi,
     verify_convergence,
 )
-from qcmap.ode_limit import _T_MAX, _rk4_states
+from qcmap.ode_limit import _T_MAX, _rk4_states, _rk4_steps
 
 
 class TestOdeRhs:
@@ -96,13 +97,24 @@ class TestPsi:
 
     def test_step_halving_consistency(self):
         # halving the step changes psi by O(h^4); require agreement to 1e-10
-        _, _, states = _rk4_states(0.0, 3.0)
+        *_, last = _rk4_states(0.0, *_rk4_steps(3.0))
         fine = psi(0.0, 3.0)
         # integrate with double the duration resolution by splitting in two
         mid = psi(0.0, 1.5)
         two_stage = psi(mid, 1.5)
-        assert float(states[-1]) == fine
+        assert float(last) == fine
         assert two_stage == pytest.approx(fine, abs=1e-10)
+
+    def test_array_flow_keeps_one_state(self):
+        # 1000 steps of 2001 points: every state kept would be 16 MB
+        c = np.linspace(-1.0, 1.0, 2001)
+        tracemalloc.start()
+        try:
+            psi(c, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     @pytest.mark.parametrize("T", [1e-9, 1e-4, 0.37, 1.0, 8.0, _T_MAX])
     def test_starts_next_to_the_ends_stay_inside_in_order(self, T):

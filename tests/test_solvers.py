@@ -479,6 +479,19 @@ class TestSolveTatSmooth:
         with pytest.raises(ValueError):
             solve_tat_smooth(build_vanilla(3), Tanh(), tau)
 
+    def test_graph_without_nonlinear_node_refused(self):
+        # as in TAT-lrelu: the curvature budget m is 0, so no C''(1) meets it
+        g = NetworkGraph((Node(0, INPUT), Node(1, AFFINE)), ((), (0,)), 1)
+        with pytest.raises(ValueError, match="graph has no nonlinear node"):
+            solve_tat_smooth(g, Tanh(), 0.3)
+        # a bad tau is refused first, and an invalid graph is reported as such
+        with pytest.raises(ValueError, match="tau must be positive"):
+            solve_tat_smooth(g, Tanh(), 0.0)
+        dangling = NetworkGraph((Node(0, INPUT), Node(1, AFFINE), Node(2, AFFINE)),
+                                ((), (0,), (0,)), 1)
+        with pytest.raises(GraphValidationError):
+            solve_tat_smooth(dangling, Tanh(), 0.3)
+
 
 class TestSolveDks:
     @pytest.mark.parametrize("base", [SoftPlus(), Tanh()])

@@ -15,11 +15,13 @@ change's tier-1 suite runs once with -W error::RuntimeWarning and
 
 The only file written in the repository is --out:
     {git_sha, parent_sha, numpy, cores, seeds, seconds, src_lines: {parent,
-     change}, workloads: {name: {metric: {parent: [median, q1, q3], change:
-     [...], wins, pairs, verdict}}, failed, attempted, failed_share, runs},
+     change}, src_lines_by_file: {parent: {path: lines}, change: {...}},
+     workloads: {name: {metric: {parent: [median, q1, q3], change: [...],
+     wins, pairs, verdict}}, failed, attempted, failed_share, runs},
      trace: {name: {metric: {parent, change}}}, tier1}
 where src_lines counts the lines of src/**/*.py in each exported tree (the
-net-lines metric of ROADMAP.md) and wins counts the pairs in which the
+net-lines metric of ROADMAP.md), src_lines_by_file splits that count by
+file, and wins counts the pairs in which the
 change is better in the direction BENCHMARK.json gives the metric.  verdict judges the metric against its
 BENCHMARK.json bound: "worse" when the change's median is past the bound,
 else "unresolved" when the parent's quartile spread exceeds the bound and
@@ -63,9 +65,16 @@ def export(rev: str, dest: Path) -> str:
     return sha
 
 
+def src_lines_by_file(checkout: Path) -> dict[str, int]:
+    """Newline count of each of the tree's src/**/*.py files, as wc -l gives
+    it, keyed by its path relative to the tree."""
+    return {p.relative_to(checkout).as_posix(): p.read_bytes().count(b"\n")
+            for p in sorted(checkout.glob("src/**/*.py"))}
+
+
 def src_lines(checkout: Path) -> int:
-    """Newline count of the tree's src/**/*.py files, as wc -l gives it."""
-    return sum(p.read_bytes().count(b"\n") for p in checkout.glob("src/**/*.py"))
+    """Newline count of all the tree's src/**/*.py files."""
+    return sum(src_lines_by_file(checkout).values())
 
 
 def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -181,6 +190,8 @@ def main(argv=None) -> int:
                   "cores": len(os.sched_getaffinity(0)), "seeds": seeds,
                   "seconds": seconds,
                   "src_lines": {side: src_lines(path) for side, path in sides.items()},
+                  "src_lines_by_file": {side: src_lines_by_file(path)
+                                        for side, path in sides.items()},
                   "workloads": {}, "trace": {}}
         for workload in workloads:
             runs = []
