@@ -147,25 +147,6 @@ def graph_to_dict(g):
     return {"nodes": nodes, "edges": edges, "output": g.output}
 
 
-def nested_blocks(inner_weights):
-    """Residual blocks, one per inner weight, whose branches hold an inner
-    residual block with that shortcut weight."""
-    nodes, preds = [Node(0, INPUT)], [()]
-
-    def add(kind, ps, weights=None):
-        nodes.append(Node(len(nodes), kind, weights))
-        preds.append(ps)
-        return len(nodes) - 1
-
-    entry = 0
-    for w in inner_weights:
-        n1 = add(NONLINEAR, (add(AFFINE, (entry,)),))
-        n2 = add(NONLINEAR, (add(AFFINE, (n1,)),))
-        inner = add(SUM, (n1, n2), (w, math.sqrt(1 - w * w)))
-        entry = add(SUM, (entry, inner), (0.95, math.sqrt(1 - 0.95 ** 2)))
-    return NetworkGraph(tuple(nodes), tuple(preds), entry)
-
-
 def candidate_set(g):
     return {(ref.entry, ref.exit, ref.members) for ref in enumerate_maximal_subnetworks(g)}
 
@@ -277,7 +258,7 @@ class TestSubnetworks:
     def test_resnet_two_candidate_shapes(self):
         g = build_rescaled_resnet(5, 0.5, branch_nonlinear_count=3)
         refs = enumerate_maximal_subnetworks(g)
-        assert len(refs) == 2  # whole network + one branch shape
+        assert len(refs) == 2  # whole network + one branch program
         sizes = sorted(len(ref.members) for ref in refs)
         assert sizes[0] == 6  # 3 combined layers
         assert sizes[1] == g.num_nodes
@@ -331,7 +312,7 @@ class TestSubnetworks:
         })
         mapped = {(new_id[ref.entry], new_id[ref.exit], frozenset(new_id[v] for v in ref.members))
                   for ref in enumerate_maximal_subnetworks(built)}
-        # the kept representative of a repeated shape may be another block
+        # the kept representative of a repeated program may be another block
         assert {(len(m), loaded.nodes[e].kind) for e, _, m in candidate_set(loaded)} == {
             (len(m), loaded.nodes[e].kind) for e, _, m in mapped}
         assert len(candidate_set(loaded)) == len(mapped)
@@ -371,7 +352,7 @@ class TestSubnetworks:
     def test_sum_is_never_an_entry(self):
         # node 3 sums 1 and 2 and is dominated only by 1, which 3 does not
         # post-dominate (1 also feeds 5): {3, 4} is no subnetwork; {4} is,
-        # with the shape of {2}
+        # with the program of {2}
         s = math.sqrt(0.5)
         nodes = (Node(0, INPUT), Node(1, NONLINEAR), Node(2, NONLINEAR), Node(3, SUM, (s, s)),
                  Node(4, NONLINEAR), Node(5, AFFINE), Node(6, SUM, (s, s)))
@@ -383,19 +364,26 @@ class TestSubnetworks:
     def test_equal_topology_with_other_weights_is_another_shape(self):
         # two residual blocks whose branches hold an inner sum: same wiring,
         # different inner weights, so both branches stay candidates (next to
-        # the whole graph and the inner 1-layer branch)
-        g = nested_blocks((0.99, 0.6))
-        assert len(candidate_set(g)) == 4
-        for r in (lambda x: 1.0 + x, lambda c: lrelu_c_map(0.3, c)):
-            assert eval_M(g, r, 0.0) == oracle_max(g, r, 0.0)
+        # the whole graph and the inner 1-layer branch), even 1e-13 apart,
+        # and the maximum over the candidates is the exhaustive one
+        for inner_weights in ((0.99, 0.6), (0.6 + 1e-13, 0.6)):
+            nodes, preds = [Node(0, INPUT)], [()]
 
-    def test_weights_equal_to_twelve_digits_stay_apart(self):
-        # inner weights 1e-13 apart give two programs, so the maximum over
-        # the candidates is the exhaustive one bit for bit
-        g = nested_blocks((0.6 + 1e-13, 0.6))
-        assert len(candidate_set(g)) == 4
-        for r in (lambda x: 1.0 + x, lambda c: lrelu_c_map(0.3, c)):
-            assert eval_M(g, r, 0.0) == oracle_max(g, r, 0.0)
+            def add(kind, ps, weights=None):
+                nodes.append(Node(len(nodes), kind, weights))
+                preds.append(ps)
+                return len(nodes) - 1
+
+            entry = 0
+            for w in inner_weights:
+                n1 = add(NONLINEAR, (add(AFFINE, (entry,)),))
+                n2 = add(NONLINEAR, (add(AFFINE, (n1,)),))
+                inner = add(SUM, (n1, n2), (w, math.sqrt(1 - w * w)))
+                entry = add(SUM, (entry, inner), (0.95, math.sqrt(1 - 0.95 ** 2)))
+            g = NetworkGraph(tuple(nodes), tuple(preds), entry)
+            assert len(candidate_set(g)) == 4
+            for r in (lambda x: 1.0 + x, lambda c: lrelu_c_map(0.3, c)):
+                assert eval_M(g, r, 0.0) == oracle_max(g, r, 0.0)
 
     def test_branches_differing_by_an_affine_node_count_once(self):
         # affine nodes emit no op: the second branch lowers to the first
