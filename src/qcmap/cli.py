@@ -254,6 +254,9 @@ def run(argv=None) -> int:
     except (ValueError, OSError, ArithmeticError) as err:
         _emit_error(type(err).__name__, str(err))
         return 1
+    except MemoryError as err:  # numpy raises a private subclass
+        _emit_error("MemoryError", str(err))
+        return 1
 
 
 def main() -> None:  # pragma: no cover - thin wrapper

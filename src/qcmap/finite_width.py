@@ -8,6 +8,7 @@ not depend on execution order.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -94,8 +95,7 @@ def sample_weight_matrix(scheme: InitScheme, m: int, k: int, rng) -> np.ndarray:
         # columns, the numerically stable equivalent of (X X^T)^(-1/2) X
         q, r = np.linalg.qr(x)
         q = q * np.sign(np.diag(r))
-        w = q.T if m <= k else q
-        return w * max(math.sqrt(m / k), 1.0)
+        return q.T if m <= k else q * math.sqrt(m / k)
     raise ValueError(f"unknown init scheme: {scheme}")
 
 
@@ -143,7 +143,7 @@ def propagate_pair(
     return stats
 
 
-def _fresh_layer(x: np.ndarray, scheme: InitScheme, rng) -> np.ndarray:
+def _fresh_layer(x: np.ndarray, scheme: InitScheme, rng, draws=None) -> np.ndarray:
     """Pre-activation W x for a fresh square weight matrix W, in law.
 
     The columns of x are the n propagated vectors.  Only their Gram matrix
@@ -162,6 +162,9 @@ def _fresh_layer(x: np.ndarray, scheme: InitScheme, rng) -> np.ndarray:
     R_x^T R_x = x^T x gives the same law, so a singular Gram matrix (equal
     or opposite columns, as with c0 = +-1) takes R_x from a Householder QR
     of x, which accepts rank-deficient x, instead of Cholesky.
+
+    draws, on the Gram route only, is a _DrawAhead that already holds this
+    layer's G, drawn from rng on its helper thread.
     """
     width, n = x.shape
     if 3 * n <= 2 * width:
@@ -169,13 +172,16 @@ def _fresh_layer(x: np.ndarray, scheme: InitScheme, rng) -> np.ndarray:
             r_x = _cholesky_factor(x.T @ x)
         except np.linalg.LinAlgError:
             r_x = np.linalg.qr(x, mode="r")
-        g = rng.standard_normal((width, n))
+        g = rng.standard_normal((width, n)) if draws is None else draws.take()
         if scheme is InitScheme.GAUSSIAN_FAN_IN:
             return g @ (r_x / math.sqrt(width))
         try:
             return g @ _solve_upper(_cholesky_factor(g.T @ g), r_x)
         except np.linalg.LinAlgError:
-            pass  # a rank-deficient normal draw: probability zero
+            # a rank-deficient normal draw: probability zero; the explicit
+            # draw below comes next from rng, as it would in series
+            if draws is not None:
+                draws.rewind()
     return sample_weight_matrix(scheme, width, width, rng) @ x
 
 
@@ -206,29 +212,94 @@ def _cholesky_factor(gram: np.ndarray) -> np.ndarray:
     return r
 
 
+# The smallest width * n (one layer's normal draw) that is drawn on the
+# helper thread.  Measured with run_simulation (depth 30, 2 trials, TReLU)
+# on a 2-core VM with one BLAS thread, medians of 21 calls, helper against
+# serial: 2 560 and 4 000 elements ran at 0.73-1.00x (a hand-off costs
+# tens of microseconds), 5 000-8 400 at 0.96-1.14x, and every size from
+# 11 200 on at 1.15-1.37x (1.4-1.8x from 30 000).
+_DRAW_AHEAD_MIN_ELEMENTS = 10_000
+
+
+class _DrawAhead:
+    """A trial's per-layer width x n standard normal draws, each made on a
+    helper thread while the caller computes the layer before it.
+
+    The draws come from rng one after another, into two buffers in turn, so
+    rng gives the same numbers as it would in series.  take() returns the
+    next draw (valid until the take() after it) and starts the one after.
+    rewind() is for a caller that must draw from rng itself first: it waits
+    for the draw in flight, drops it and puts rng back where it began.
+    """
+
+    def __init__(self, pool, rng, shape, count: int):
+        self._pool, self._rng, self._left = pool, rng, count
+        self._buffers = [np.empty(shape), np.empty(shape)]
+        self._flight = None
+        self._start()
+
+    def _start(self) -> None:
+        if self._left:
+            self._left -= 1
+            self._state = self._rng.bit_generator.state
+            self._buffers.reverse()
+            self._flight = self._pool.submit(self._rng.standard_normal, out=self._buffers[0])
+
+    def take(self) -> np.ndarray:
+        if self._flight is None:
+            self._start()
+        g = self._flight.result()
+        self._flight = None
+        self._start()
+        return g
+
+    def rewind(self) -> None:
+        if self._flight is not None:
+            self._flight.result()
+            self._flight = None
+            self._rng.bit_generator.state = self._state
+            self._left += 1
+
+
 def run_simulation(config: SimConfig, act: Activation, scheme: InitScheme) -> EmpiricalTrace:
     """Aggregate pair statistics over trials (networks) x pairs.
 
     Each trial draws one set of network weights shared by all of its pairs.
     The RNG stream is keyed by (seed, trial), so the result is independent
     of trial execution order.
+
+    On the Gram route, once width * n reaches _DRAW_AHEAD_MIN_ELEMENTS, a
+    helper thread draws each layer's normal matrix G while this thread
+    computes the layer before (numpy releases the GIL in both).  The stream
+    and so every result are those of the serial loop.  The helper runs only
+    Generator.standard_normal, never a qcmap function: the benchmark's
+    tracer assumes one thread, and np.errstate below is thread-local.  It
+    lives inside this call and is joined before it returns or raises.
     """
-    depth, pairs = config.depth, config.pairs_per_trial
+    depth, pairs, width = config.depth, config.pairs_per_trial, config.width
     all_c = np.empty((config.trials, pairs, depth + 1))
     all_q = np.empty((config.trials, pairs, depth + 1))
+    n = 2 * pairs
+    helper = contextlib.nullcontext()
+    if 3 * n <= 2 * width and width * n >= _DRAW_AHEAD_MIN_ELEMENTS:
+        # imported here: at module level it would add ~4 ms to import qcmap
+        from concurrent.futures import ThreadPoolExecutor
+        helper = ThreadPoolExecutor(max_workers=1)
     # overflow, 0/0 and inf/inf leave non-finite entries; the check after
     # the loop reports them as one DomainError instead of numpy warnings
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with (np.errstate(over="ignore", invalid="ignore", divide="ignore"),
+          helper as pool):
         for trial in range(config.trials):
             rng = np.random.default_rng([config.seed, trial])
             pairs_x = []
             for _ in range(pairs):
-                x1, x2 = make_input_pair(config.width, config.initial_c, rng)
+                x1, x2 = make_input_pair(width, config.initial_c, rng)
                 pairs_x += [x1, x2]
-            x = np.stack(pairs_x, axis=1)  # width x (2 * pairs)
+            draws = _DrawAhead(pool, rng, (width, n), depth) if pool else None
+            x = np.stack(pairs_x, axis=1)  # width x n
             _record_layer(x, all_c, all_q, trial, 0)
             for layer in range(1, depth + 1):
-                x = act.value(_fresh_layer(x, scheme, rng))
+                x = act.value(_fresh_layer(x, scheme, rng, draws))
                 _record_layer(x, all_c, all_q, trial, layer)
     bad = ~(np.isfinite(all_c) & np.isfinite(all_q)).all(axis=(0, 1))
     if bad.any():

@@ -15,6 +15,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 
 import numpy as np
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qcmap
-from qcmap import GraphValidationError, eval_M, lrelu_c_map
+from qcmap import GraphValidationError, TReLU, eval_M, lrelu_c_map
 from qcmap.cli import _build_parser, run
 from qcmap.netgraph import graph_from_dict
 
@@ -387,6 +388,47 @@ class TestSimulateCommand:
         code, out, err = invoke(self.ARGS + ["--c0", "nan"], capsys)
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "ValueError"
+
+    def test_interrupted_wide_request_leaves_nothing_behind(self, capsys, monkeypatch):
+        # a BaseException at layer 4 (the benchmark worker's SIGALRM
+        # deadline is one) while the next layer's draw is on the helper
+        # thread: the thread is joined and the next request is unaffected
+        argv = ["simulate", "--activation", "trelu:0.3", "--width", "200",
+                "--depth", "6", "--trials", "2", "--pairs", "30", "--seed", "5",
+                "--init", "suo"]
+        baseline = threading.active_count()
+        fresh = invoke(argv, capsys)
+
+        class Stop(BaseException):
+            pass
+
+        real, calls = TReLU.value, [0]
+
+        def value(self, x):
+            calls[0] += 1
+            if calls[0] == 4:
+                raise Stop
+            return real(self, x)
+
+        monkeypatch.setattr(TReLU, "value", value)
+        with pytest.raises(Stop):
+            run(argv)
+        monkeypatch.undo()
+        assert calls[0] == 4
+        assert threading.active_count() == baseline
+        assert invoke(argv, capsys) == fresh
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--activation", "relu", "--width", "16", "--depth", "10",
+         "--trials", "1000000000000", "--pairs", "100"],
+        ["cmap", "--graph", "vanilla:2", "--activation", "relu",
+         "--points", "100000000000000"],
+    ])
+    def test_oversized_request_gives_envelope(self, capsys, argv):
+        # petabyte arrays: the allocation fails before any memory is touched
+        code, out, err = invoke(argv, capsys)
+        assert code == 1 and out == ""
+        assert _envelope(err)["error"] == "MemoryError"
 
 
 class TestOdeCommand:

@@ -9,7 +9,9 @@ Oracles:
   deterministic given the fixed seeds.
 """
 
+import inspect
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -200,6 +202,122 @@ class TestFreshLayer:
                         initial_c=c0)
         trace = run_simulation(cfg, act, scheme)
         assert np.max(np.abs(trace.mean_c - c0)) <= 1e-12
+
+
+def _serial_trace(cfg, act, scheme):
+    """run_simulation's trace from a plain loop of _fresh_layer calls, with
+    no helper thread: the reference stream order."""
+    depth, pairs = cfg.depth, cfg.pairs_per_trial
+    all_c = np.empty((cfg.trials, pairs, depth + 1))
+    all_q = np.empty((cfg.trials, pairs, depth + 1))
+    for trial in range(cfg.trials):
+        rng = np.random.default_rng([cfg.seed, trial])
+        x = np.stack([v for _ in range(pairs)
+                      for v in make_input_pair(cfg.width, cfg.initial_c, rng)], axis=1)
+        finite_width._record_layer(x, all_c, all_q, trial, 0)
+        for layer in range(1, depth + 1):
+            x = act.value(_fresh_layer(x, scheme, rng))
+            finite_width._record_layer(x, all_c, all_q, trial, layer)
+    flat_c, flat_q = all_c.reshape(-1, depth + 1), all_q.reshape(-1, depth + 1)
+    return flat_c.mean(axis=0), flat_c.std(axis=0), flat_q.mean(axis=0)
+
+
+def _same_trace(trace, want):
+    return all(np.array_equal(a, b) for a, b in zip((trace.mean_c, trace.std_c, trace.mean_q), want))
+
+
+def _count_draw_aheads(monkeypatch):
+    made = []
+
+    class Spy(finite_width._DrawAhead):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(finite_width, "_DrawAhead", Spy)
+    return made
+
+
+# width, pairs: explicit route, Gram route below the helper's gate, above it
+SIZES = [(30, 20), (24, 2), (200, 30)]
+
+
+class TestDrawAhead:
+    def test_sizes_straddle_the_gate(self):
+        widths_n = [(w, 2 * p) for w, p in SIZES]
+        assert 3 * widths_n[0][1] > 2 * widths_n[0][0]
+        assert widths_n[1][0] * widths_n[1][1] < finite_width._DRAW_AHEAD_MIN_ELEMENTS
+        assert widths_n[2][0] * widths_n[2][1] >= finite_width._DRAW_AHEAD_MIN_ELEMENTS
+
+    @pytest.mark.parametrize("scheme", list(InitScheme))
+    @pytest.mark.parametrize("width, pairs", SIZES)
+    @pytest.mark.parametrize("c0, act", [(0.3, TReLU(0.2)), (1.0, TReLU(0.2)), (-1.0, Tanh())])
+    def test_bit_identical_to_the_serial_loop(self, monkeypatch, scheme, width, pairs, c0, act):
+        # c0 = 1 through TReLU and c0 = -1 through tanh keep x^T x singular,
+        # so R_x comes from a QR of x at every layer
+        made = _count_draw_aheads(monkeypatch)
+        cfg = SimConfig(width=width, depth=5, trials=3, pairs_per_trial=pairs, seed=31,
+                        initial_c=c0)
+        trace = run_simulation(cfg, act, scheme)
+        assert _same_trace(trace, _serial_trace(cfg, act, scheme))
+        helped = width * 2 * pairs >= finite_width._DRAW_AHEAD_MIN_ELEMENTS
+        assert len(made) == (cfg.trials if helped else 0)
+
+    def test_suo_fallback_keeps_the_stream_order(self, monkeypatch):
+        # the 4th Cholesky of a SUO run is layer 2's G^T G (each layer
+        # factors x^T x, then G^T G); failing it sends that layer to the
+        # explicit draw while layer 3's G is being drawn ahead
+        real = finite_width._cholesky_factor
+        calls = [0]
+
+        def fail_once(gram):
+            calls[0] += 1
+            if calls[0] == 4:
+                raise np.linalg.LinAlgError("forced")
+            return real(gram)
+
+        explicit = []
+        real_swm = finite_width.sample_weight_matrix
+        monkeypatch.setattr(finite_width, "_cholesky_factor", fail_once)
+        monkeypatch.setattr(finite_width, "sample_weight_matrix",
+                            lambda *a: explicit.append(a[1:3]) or real_swm(*a))
+        made = _count_draw_aheads(monkeypatch)
+        cfg = SimConfig(width=200, depth=5, trials=2, pairs_per_trial=30, seed=32)
+        act, traces = TReLU(0.2), []
+        for run in (lambda: run_simulation(cfg, act, InitScheme.SUO),
+                    lambda: run_simulation(cfg, act, InitScheme.SUO),
+                    lambda: _serial_trace(cfg, act, InitScheme.SUO)):
+            calls[0] = 0
+            traces.append(run())
+        assert len(made) == 2 * cfg.trials and explicit == [(200, 200)] * 3
+        want = traces[2]
+        assert _same_trace(traces[0], want) and _same_trace(traces[1], want)
+        plain = run_simulation(cfg, act, InitScheme.SUO)  # 4th call passes now
+        assert not np.array_equal(plain.mean_c, want[0])
+
+    def test_no_qcmap_function_runs_on_the_helper(self, monkeypatch):
+        threads = set()
+
+        def on_thread(f):
+            def wrapped(*args, **kwargs):
+                threads.add(threading.current_thread())
+                return f(*args, **kwargs)
+            return wrapped
+
+        for name, f in list(vars(finite_width).items()):
+            if inspect.isfunction(f) and f.__module__ == finite_width.__name__:
+                monkeypatch.setattr(finite_width, name, on_thread(f))
+        for name in ("take", "rewind", "_start"):
+            monkeypatch.setattr(finite_width._DrawAhead, name,
+                                on_thread(getattr(finite_width._DrawAhead, name)))
+        monkeypatch.setattr(TReLU, "value", on_thread(TReLU.value))
+        act = TReLU(0.2)
+        made = _count_draw_aheads(monkeypatch)
+        cfg = SimConfig(width=200, depth=4, trials=2, pairs_per_trial=30, seed=33)
+        for scheme in InitScheme:
+            finite_width.run_simulation(cfg, act, scheme)
+        assert len(made) == 2 * cfg.trials
+        assert threads == {threading.current_thread()}
 
 
 class TestMakeInputPair:
