@@ -163,8 +163,8 @@ def _fresh_layer(x: np.ndarray, scheme: InitScheme, rng, draws=None) -> np.ndarr
     or opposite columns, as with c0 = +-1) takes R_x from a Householder QR
     of x, which accepts rank-deficient x, instead of Cholesky.
 
-    draws, on the Gram route only, is a _DrawAhead that already holds this
-    layer's G, drawn from rng on its helper thread.
+    draws, used on the Gram route only, is a _DrawAhead that draws this
+    layer's G from rng on a helper thread.
     """
     width, n = x.shape
     if 3 * n <= 2 * width:

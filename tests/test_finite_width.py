@@ -238,17 +238,12 @@ def _count_draw_aheads(monkeypatch):
     return made
 
 
-# width, pairs: explicit route, Gram route below the helper's gate, above it
+# width, pairs: the explicit route, the Gram route below the helper's
+# size gate (24 * 4 elements), and above it (200 * 60)
 SIZES = [(30, 20), (24, 2), (200, 30)]
 
 
 class TestDrawAhead:
-    def test_sizes_straddle_the_gate(self):
-        widths_n = [(w, 2 * p) for w, p in SIZES]
-        assert 3 * widths_n[0][1] > 2 * widths_n[0][0]
-        assert widths_n[1][0] * widths_n[1][1] < finite_width._DRAW_AHEAD_MIN_ELEMENTS
-        assert widths_n[2][0] * widths_n[2][1] >= finite_width._DRAW_AHEAD_MIN_ELEMENTS
-
     @pytest.mark.parametrize("scheme", list(InitScheme))
     @pytest.mark.parametrize("width, pairs", SIZES)
     @pytest.mark.parametrize("c0, act", [(0.3, TReLU(0.2)), (1.0, TReLU(0.2)), (-1.0, Tanh())])
@@ -260,8 +255,7 @@ class TestDrawAhead:
                         initial_c=c0)
         trace = run_simulation(cfg, act, scheme)
         assert _same_trace(trace, _serial_trace(cfg, act, scheme))
-        helped = width * 2 * pairs >= finite_width._DRAW_AHEAD_MIN_ELEMENTS
-        assert len(made) == (cfg.trials if helped else 0)
+        assert len(made) == (cfg.trials if (width, pairs) == SIZES[2] else 0)
 
     def test_suo_fallback_keeps_the_stream_order(self, monkeypatch):
         # the 4th Cholesky of a SUO run is layer 2's G^T G (each layer
